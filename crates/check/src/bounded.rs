@@ -3,20 +3,24 @@
 //! The differential fuzzer samples the design space randomly; this module
 //! instead enumerates **all** op sequences up to a small length over a tiny
 //! address universe (2 cache lines × 2 words, so every hazard, coalesce,
-//! and aliasing case is reachable) across every boundary configuration the
-//! paper's invariants could plausibly break on: all 4 load-hazard policies
-//! × depths 1–4 × every retire-at mark 1..=depth.
+//! and aliasing case is reachable) across every boundary configuration of
+//! a [`CheckGrid`]: on the blocking machine all 4 load-hazard policies ×
+//! depths 1–4 × every retire-at mark 1..=depth, on the non-blocking one
+//! the same shapes × MSHR counts 1–4.
 //!
-//! Each run drives the cycle machine one [`wbsim_sim::Machine::step`] at a
-//! time under an observer that asserts the paper's invariants from the
-//! event stream:
+//! Each run drives the machine one [`SimMachine::step`] at a time under an
+//! observer that asserts the paper's invariants from the event stream:
 //!
 //! * occupancy never exceeds depth, and the recorded high-water mark (hence
 //!   headroom = depth − high-water) matches the maximum observed occupancy;
-//! * at most one Table-3 stall cause per cycle (the taxonomy partitions);
+//! * the stall taxonomy: at most one Table-3 cause per cycle, or — where
+//!   misses overlap execution ([`SimMachine::OVERLAP`]) — no cause twice
+//!   in a cycle and no hazard stall at all;
 //! * autonomous retirement is FIFO: entry ids leave in allocation order;
-//! * no store is lost or staled: every load value, the load count, and the
-//!   final memory image match the untimed [`ArchModel`];
+//! * no store is lost or staled: every resolved load value, the load
+//!   count, and the final memory image match the untimed [`ArchModel`];
+//! * the machine's structural invariants
+//!   ([`SimMachine::check_structure`]), every cycle;
 //! * the conservation identities shared with `wbsim-oracle`
 //!   ([`check_conservation`]).
 //!
@@ -25,69 +29,20 @@
 //! [`Counterexample`] carries a JSONL event trace replayable with
 //! `wbsim trace validate`.
 
-use std::time::Instant;
-use wbsim_types::sync::atomic::AtomicUsize;
-use wbsim_types::sync::{Mutex, Ordering};
-
 use wbsim_oracle::{check_conservation, ArchModel};
-use wbsim_sim::{Event, Machine, NonBlockingMachine, Observer};
+use wbsim_sim::{Event, Machine, MachineKind, NonBlockingMachine, Observer, SimMachine};
 use wbsim_types::config::MachineConfig;
-use wbsim_types::divergence::FaultInjection;
 use wbsim_types::op::Op;
-use wbsim_types::policy::{LoadHazardPolicy, RetirementOrder, RetirementPolicy};
+use wbsim_types::policy::RetirementOrder;
+use wbsim_types::stall::StallKind;
 use wbsim_types::Addr;
+
+use crate::grid::{first_flagged, minimize, CheckGrid, CheckReport};
 
 /// Cycle budget per run: a liveness bound. The longest bounded sequence
 /// finishes in well under a hundred cycles; a run that is still going after
 /// this many has livelocked, which is itself a violation.
 const CYCLE_BUDGET: u64 = 10_000;
-
-/// What a clean check covered. Produced by both the bounded exhaustive
-/// checker (which fills the sequence-enumeration fields) and the
-/// reachability checker (which fills the state-graph fields); the unused
-/// family is zero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CheckReport {
-    /// Boundary configurations enumerated.
-    pub configs: u64,
-    /// Op sequences per configuration (bounded checker only).
-    pub sequences: u64,
-    /// Total machine runs, `configs × sequences` (bounded checker only).
-    pub runs: u64,
-    /// Distinct canonical abstract states visited across all
-    /// configurations (reachability checker only).
-    pub states_explored: u64,
-    /// State-graph transitions executed across all configurations
-    /// (reachability checker only).
-    pub edges: u64,
-    /// Strongly connected components of the drain graph across all
-    /// configurations — every one a singleton in a clean run, because any
-    /// larger SCC would be a no-progress cycle, i.e. a livelock
-    /// (reachability checker only).
-    pub sccs: u64,
-    /// Wall-clock time of the whole check in milliseconds. The only field
-    /// that varies between byte-identical runs.
-    pub wall_ms: u64,
-}
-
-impl CheckReport {
-    /// Renders the report as a single JSON object (hand-rolled, like the
-    /// event codec — the workspace takes no serialization dependency).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"configs\":{},\"sequences\":{},\"runs\":{},\"states_explored\":{},\
-             \"edges\":{},\"sccs\":{},\"wall_ms\":{}}}",
-            self.configs,
-            self.sequences,
-            self.runs,
-            self.states_explored,
-            self.edges,
-            self.sccs,
-            self.wall_ms
-        )
-    }
-}
 
 /// A minimized invariant violation.
 #[derive(Debug, Clone)]
@@ -125,27 +80,59 @@ pub fn op_universe(cfg: &MachineConfig) -> Vec<Op> {
     ops
 }
 
-/// The boundary configurations: every hazard policy × depth 1..=4 × every
-/// retire-at mark 1..=depth, on the paper's baseline machine, optionally
-/// with an injected fault. 40 configurations.
-#[must_use]
-pub fn bounded_configs(fault: Option<FaultInjection>) -> Vec<MachineConfig> {
-    let mut out = Vec::new();
-    for hazard in LoadHazardPolicy::ALL {
-        for depth in 1..=4usize {
-            for hw in 1..=depth {
-                let mut cfg = MachineConfig::baseline();
-                cfg.write_buffer.depth = depth;
-                cfg.write_buffer.retirement = RetirementPolicy::RetireAt(hw);
-                cfg.write_buffer.hazard = hazard;
-                cfg.check_data = false;
-                cfg.fault = fault;
-                debug_assert!(cfg.validate().is_ok());
-                out.push(cfg);
-            }
+/// The stall-taxonomy rule of [`SimMachine::OVERLAP`], fed one
+/// `StallCycle` event at a time. Shared by the bounded and reachability
+/// observers.
+#[derive(Debug, Default)]
+pub(crate) struct StallRule {
+    now: Option<u64>,
+    kinds: Vec<StallKind>,
+}
+
+impl StallRule {
+    /// Records a stall charged at `now`; returns the first rule it breaks.
+    pub(crate) fn charge(&mut self, overlap: bool, now: u64, kind: StallKind) -> Option<String> {
+        if self.now != Some(now) {
+            self.now = Some(now);
+            self.kinds.clear();
         }
+        let broken = if !overlap {
+            (!self.kinds.is_empty()).then(|| {
+                format!(
+                    "cycle {now}: second stall cause ({kind:?}) in one cycle; Table-3 causes \
+                     must be mutually exclusive"
+                )
+            })
+        } else if !matches!(kind, StallKind::BufferFull | StallKind::L2ReadAccess) {
+            Some(format!(
+                "cycle {now}: stall cause {kind:?} cannot occur on the non-blocking machine \
+                 (hazards merge into fills)"
+            ))
+        } else {
+            self.kinds.contains(&kind).then(|| {
+                format!(
+                    "cycle {now}: stall cause {kind:?} charged twice in one cycle; under \
+                     overlap each cause is exclusive per cycle"
+                )
+            })
+        };
+        self.kinds.push(kind);
+        broken
     }
-    out
+}
+
+/// The FIFO-retirement rule: autonomous retirements leave in strictly
+/// increasing entry-id order. Returns the violation, if any, and records
+/// `id` as the latest.
+pub(crate) fn fifo_violation(last: &mut Option<u64>, now: u64, id: u64) -> Option<String> {
+    let broken = last.filter(|&prev| id <= prev).map(|prev| {
+        format!(
+            "cycle {now}: autonomous retirement of entry {id} after entry {prev}; FIFO order \
+             requires strictly increasing ids"
+        )
+    });
+    *last = Some(id);
+    broken
 }
 
 /// Asserts the per-event invariants and records what the architectural
@@ -153,27 +140,23 @@ pub fn bounded_configs(fault: Option<FaultInjection>) -> Vec<MachineConfig> {
 #[derive(Debug, Default)]
 struct InvariantObserver {
     depth: u64,
+    overlap: bool,
     fifo: bool,
-    loads: Vec<(Addr, u64)>,
+    /// Program-ordered terminal load events: `Some` = resolved with this
+    /// (addr, value); `None` = went to an MSHR (no architecturally returned
+    /// value; the fill is checked through final memory instead).
+    loads: Vec<Option<(Addr, u64)>>,
     cycles_seen: u64,
     max_occupancy: u64,
-    last_stall_now: Option<u64>,
+    stalls: StallRule,
     last_autonomous_retire_id: Option<u64>,
     violation: Option<String>,
 }
 
 impl InvariantObserver {
-    fn new(cfg: &MachineConfig) -> Self {
-        InvariantObserver {
-            depth: cfg.write_buffer.depth as u64,
-            fifo: cfg.write_buffer.order == RetirementOrder::Fifo,
-            ..Self::default()
-        }
-    }
-
-    fn fail(&mut self, msg: String) {
+    fn fail(&mut self, msg: Option<String>) {
         if self.violation.is_none() {
-            self.violation = Some(msg);
+            self.violation = msg;
         }
     }
 }
@@ -185,40 +168,29 @@ impl Observer for InvariantObserver {
                 self.cycles_seen += 1;
                 self.max_occupancy = self.max_occupancy.max(occupancy);
                 if occupancy > self.depth {
-                    self.fail(format!(
+                    self.fail(Some(format!(
                         "cycle {now}: occupancy {occupancy} exceeds depth {}",
                         self.depth
-                    ));
+                    )));
                 }
             }
             Event::StallCycle { now, kind } => {
-                if self.last_stall_now == Some(now) {
-                    self.fail(format!(
-                        "cycle {now}: second stall cause ({kind:?}) in one cycle; \
-                         Table-3 causes must be mutually exclusive"
-                    ));
-                }
-                self.last_stall_now = Some(now);
+                let broken = self.stalls.charge(self.overlap, now, kind);
+                self.fail(broken);
             }
             Event::RetireStart { now, id, flush } if self.fifo && !flush => {
-                if let Some(prev) = self.last_autonomous_retire_id {
-                    if id <= prev {
-                        self.fail(format!(
-                            "cycle {now}: autonomous retirement of entry {id} \
-                             after entry {prev}; FIFO order requires strictly \
-                             increasing ids"
-                        ));
-                    }
-                }
-                self.last_autonomous_retire_id = Some(id);
+                let broken = fifo_violation(&mut self.last_autonomous_retire_id, now, id);
+                self.fail(broken);
             }
-            Event::LoadResolved { addr, value, .. } => self.loads.push((addr, value)),
+            Event::LoadResolved { addr, value, .. } => self.loads.push(Some((addr, value))),
+            Event::LoadMiss { .. } => self.loads.push(None),
             _ => {}
         }
     }
 }
 
-/// Runs one sequence under one configuration and checks every invariant.
+/// Runs one sequence on machine `M` (with `mshrs` registers when it has
+/// them) and checks every invariant listed in the module docs.
 ///
 /// # Errors
 ///
@@ -226,26 +198,51 @@ impl Observer for InvariantObserver {
 ///
 /// # Panics
 ///
-/// Panics if `cfg` fails [`MachineConfig::validate`] — the checker explores
+/// Panics if `M::build` rejects `cfg`/`mshrs` — the checker explores
 /// behavior, not configuration validation (the linter owns that).
-pub fn check_sequence(cfg: &MachineConfig, ops: &[Op]) -> Result<(), String> {
+pub fn check_sequence<M: SimMachine>(
+    cfg: &MachineConfig,
+    mshrs: Option<usize>,
+    ops: &[Op],
+) -> Result<(), String> {
     let mut cfg = cfg.clone();
     cfg.check_data = false;
-    let mut machine = Machine::new(cfg.clone()).expect("bounded configs are valid");
-    let mut obs = InvariantObserver::new(&cfg);
-    let Some(stats) = machine.run_bounded(ops.iter().copied(), CYCLE_BUDGET, &mut obs) else {
-        return Err(format!(
-            "run exceeded the {CYCLE_BUDGET}-cycle liveness budget"
-        ));
+    let mut machine = M::build(cfg.clone(), mshrs).expect("callers validate the configuration");
+    let mut obs = InvariantObserver {
+        depth: cfg.write_buffer.depth as u64,
+        overlap: M::OVERLAP,
+        fifo: cfg.write_buffer.order == RetirementOrder::Fifo,
+        ..InvariantObserver::default()
     };
+    let mut iter = ops.iter().copied();
+    while machine.step(&mut iter, &mut obs) {
+        machine
+            .check_structure()
+            .map_err(|e| format!("cycle {}: {e}", machine.now()))?;
+        if machine.now() >= CYCLE_BUDGET {
+            return Err(format!(
+                "run exceeded the {CYCLE_BUDGET}-cycle liveness budget"
+            ));
+        }
+    }
     if let Some(v) = obs.violation {
         return Err(v);
     }
+    let mut stats = *machine.stats();
+    stats.cycles = machine.now();
 
-    // No store lost or staled: loads and final memory vs the untimed model.
+    // No store lost or staled: resolved loads at their program-order
+    // ordinal, exactly one terminal event per load, and final memory vs
+    // the untimed model.
     let mut oracle = ArchModel::new(cfg.geometry);
     let expected = oracle.run(ops);
-    for (i, (&(addr, got), &want)) in obs.loads.iter().zip(expected.iter()).enumerate() {
+    for (i, terminal) in obs.loads.iter().enumerate() {
+        let Some((addr, got)) = *terminal else {
+            continue;
+        };
+        let Some(&want) = expected.get(i) else {
+            break; // the count check below reports the mismatch
+        };
         if got != want {
             return Err(format!(
                 "load #{i} at {addr:?} observed {got:#x}, architectural model \
@@ -254,12 +251,16 @@ pub fn check_sequence(cfg: &MachineConfig, ops: &[Op]) -> Result<(), String> {
         }
     }
     if obs.loads.len() != expected.len() {
+        let verb = if M::OVERLAP { "terminated" } else { "resolved" };
         return Err(format!(
-            "machine resolved {} loads, stream has {}",
+            "machine {verb} {} loads, stream has {}",
             obs.loads.len(),
             expected.len()
         ));
     }
+    // Final memory — also the merge-on-fill oracle: a fill that skipped
+    // the write-buffer merge leaves a stale line in L1, which the
+    // architectural read (L1-first) exposes.
     for op in ops {
         if let Op::Load(addr) | Op::Store(addr) = *op {
             let got = machine.read_word_architectural(addr);
@@ -286,14 +287,15 @@ pub fn check_sequence(cfg: &MachineConfig, ops: &[Op]) -> Result<(), String> {
         ));
     }
 
-    // The conservation identities shared with the differential oracle.
+    // The conservation identities shared with the differential oracle;
+    // cycle accounting only where misses do not overlap execution.
     check_conservation(
         &cfg,
         &stats,
         machine.wb_victim_allocs(),
         machine.wb_occupancy() as u64,
         obs.cycles_seen,
-        true,
+        !M::OVERLAP,
     )
     .map_err(|d| format!("conservation identity violated: {d}"))
 }
@@ -310,39 +312,38 @@ impl Observer for TraceObserver {
     }
 }
 
-/// Greedily deletes ops while the sequence still violates, to a fixed
-/// point: the result is 1-minimal (removing any single op makes the
-/// violation disappear).
-fn minimize(cfg: &MachineConfig, ops: &[Op]) -> Vec<Op> {
-    let mut ops = ops.to_vec();
-    'outer: loop {
-        for i in 0..ops.len() {
-            let mut candidate = ops.clone();
-            candidate.remove(i);
-            if check_sequence(cfg, &candidate).is_err() {
-                ops = candidate;
-                continue 'outer;
-            }
-        }
-        return ops;
-    }
+/// The JSONL event stream of `ops` run to completion on a fresh machine
+/// (cut off at the liveness budget).
+pub(crate) fn sequence_trace<M: SimMachine>(
+    cfg: &MachineConfig,
+    mshrs: Option<usize>,
+    ops: &[Op],
+) -> Vec<String> {
+    let mut cfg = cfg.clone();
+    cfg.check_data = false;
+    let mut machine = M::build(cfg, mshrs).expect("callers validate the configuration");
+    let mut trace = TraceObserver::default();
+    let mut iter = ops.iter().copied();
+    while machine.step(&mut iter, &mut trace) && machine.now() < CYCLE_BUDGET {}
+    trace.lines
 }
 
-pub(crate) fn counterexample(cfg: &MachineConfig, ops: &[Op]) -> Box<Counterexample> {
-    let ops = minimize(cfg, ops);
-    let violation = check_sequence(cfg, &ops).expect_err("minimization preserves the violation");
-    let mut trace = TraceObserver::default();
-    let mut cfg_run = cfg.clone();
-    cfg_run.check_data = false;
-    let _ = Machine::new(cfg_run)
-        .expect("bounded configs are valid")
-        .run_bounded(ops.iter().copied(), CYCLE_BUDGET, &mut trace);
+/// Minimizes a sequence [`check_sequence`] rejects and packages it with
+/// its violation and trace.
+pub(crate) fn counterexample<M: SimMachine>(
+    cfg: &MachineConfig,
+    mshrs: Option<usize>,
+    ops: &[Op],
+) -> Box<Counterexample> {
+    let (ops, _) = minimize(ops, |c| check_sequence::<M>(cfg, mshrs, c).err());
+    let violation =
+        check_sequence::<M>(cfg, mshrs, &ops).expect_err("minimization preserves the violation");
     Box::new(Counterexample {
         config: cfg.clone(),
-        mshrs: None,
+        mshrs,
+        trace: sequence_trace::<M>(cfg, mshrs, &ops),
         ops,
         violation,
-        trace: trace.lines,
     })
 }
 
@@ -351,554 +352,89 @@ fn sequence_count(universe: u64, max_ops: u32) -> u64 {
     (1..=max_ops).map(|k| universe.pow(k)).sum()
 }
 
-/// Enumerates the full sequence space for one configuration in a fixed
-/// odometer order and returns the first violating sequence. `abort` is
-/// polled once per sequence; a `true` poll abandons the search (`None`).
-pub(crate) fn first_violating_sequence(
+/// The first sequence of length 1..=`max_ops`, in odometer order, that
+/// [`check_sequence`] rejects on one design point. `abort` is polled once
+/// per sequence; a `true` poll abandons the search (`None`).
+pub(crate) fn first_violating_sequence<M: SimMachine>(
     cfg: &MachineConfig,
+    mshrs: Option<usize>,
     max_ops: u32,
     abort: &dyn Fn() -> bool,
 ) -> Option<Vec<Op>> {
-    let universe = op_universe(cfg);
-    let mut ops = Vec::with_capacity(max_ops as usize);
-    for len in 1..=max_ops as usize {
-        let mut odometer = vec![0usize; len];
-        loop {
-            if abort() {
-                return None;
-            }
-            ops.clear();
-            ops.extend(odometer.iter().map(|&i| universe[i]));
-            if check_sequence(cfg, &ops).is_err() {
-                return Some(ops);
-            }
-            // Advance the odometer; carry out means done.
-            let mut pos = 0;
-            loop {
-                if pos == len {
-                    break;
-                }
-                odometer[pos] += 1;
-                if odometer[pos] < universe.len() {
-                    break;
-                }
-                odometer[pos] = 0;
-                pos += 1;
-            }
-            if pos == len {
-                break;
-            }
-        }
-    }
-    None
-}
-
-/// Default `--jobs` value: available parallelism, or 1 when unknown.
-#[must_use]
-pub fn default_jobs() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// Runs `work(i, abort)` for every index `0..n` on `jobs` worker threads
-/// and returns either every success, or the *lowest-index* failure —
-/// exactly what a serial in-order scan would return, regardless of thread
-/// scheduling.
-///
-/// Determinism: indices are claimed from an atomic dispenser; the lowest
-/// failing index so far lives in an atomic min-register. A worker aborts
-/// work on index `i` only when some index `j < i` has already failed — so
-/// the first-failing index (and its payload, for deterministic `work`) is
-/// schedule-independent, and indices below it are never abandoned.
-///
-/// This is the workspace's one shared cell scheduler: the bounded and
-/// reachability checkers dispatch configuration indices through it, and
-/// the experiments harness flattens its (benchmark × config × seed) sweep
-/// grids onto it (with an uninhabited error type when cells never abort
-/// each other).
-///
-/// # Errors
-///
-/// Returns the lowest-index failure as `(index, error)` — the same pair a
-/// serial in-order scan would produce.
-pub fn run_indexed_earliest<T, E>(
-    n: usize,
-    jobs: usize,
-    work: impl Fn(usize, &dyn Fn() -> bool) -> Result<T, E> + Sync,
-) -> Result<Vec<T>, (usize, E)>
-where
-    T: Send,
-    E: Send,
-{
-    let jobs = jobs.clamp(1, n.max(1));
-    let next = AtomicUsize::new(0);
-    let earliest = AtomicUsize::new(usize::MAX);
-    let slots: Vec<Mutex<Option<Result<T, E>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    wbsim_types::sync::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n || earliest.load(Ordering::Relaxed) < i {
-                    // Done, or an earlier index already failed (every index
-                    // still in the dispenser is larger than this one).
-                    return;
-                }
-                let earliest = &earliest;
-                let abort = move || earliest.load(Ordering::Relaxed) < i;
-                let result = work(i, &abort);
-                if result.is_err() {
-                    earliest.fetch_min(i, Ordering::Relaxed);
-                }
-                *slots[i].lock() = Some(result);
-            });
-        }
-    });
-    // First non-Ok slot in index order. A `None` (abandoned) slot can only
-    // follow a failed lower index, so the scan hits the failure first.
-    let mut out = Vec::with_capacity(n);
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot.into_inner() {
-            Some(Ok(t)) => out.push(t),
-            Some(Err(e)) => return Err((i, e)),
-            None => unreachable!("index {i} abandoned without an earlier failure"),
-        }
-    }
-    Ok(out)
+    first_flagged(&op_universe(cfg), max_ops, abort, |ops| {
+        check_sequence::<M>(cfg, mshrs, ops).err()
+    })
+    .map(|(ops, _)| ops)
 }
 
 /// Enumerates every op sequence of length 1..=`max_ops` over the bounded
-/// universe, across all boundary configurations, checking every invariant
-/// on every run, with [`default_jobs`] worker threads. See
-/// [`check_exhaustive_jobs`].
+/// universe, on every point of `grid`, checking every invariant on every
+/// run, with `jobs` worker threads. The result is byte-identical for
+/// every `jobs` value (only `wall_ms` varies): the search always reports
+/// the first violating point in grid order, and within it the first
+/// violating sequence in odometer order.
 ///
 /// # Errors
 ///
 /// Returns the minimized, replayable [`Counterexample`] for the violation.
 pub fn check_exhaustive(
+    grid: &CheckGrid,
     max_ops: u32,
-    fault: Option<FaultInjection>,
-) -> Result<CheckReport, Box<Counterexample>> {
-    check_exhaustive_jobs(max_ops, fault, default_jobs())
-}
-
-/// [`check_exhaustive`] with an explicit worker-thread count. The result
-/// is byte-identical for every `jobs` value (only `wall_ms` varies): the
-/// search always reports the first violating configuration in
-/// configuration order, and within it the first violating sequence in
-/// odometer order.
-///
-/// # Errors
-///
-/// Returns the minimized, replayable [`Counterexample`] for the violation.
-pub fn check_exhaustive_jobs(
-    max_ops: u32,
-    fault: Option<FaultInjection>,
     jobs: usize,
 ) -> Result<CheckReport, Box<Counterexample>> {
-    let start = Instant::now();
-    let configs = bounded_configs(fault);
-    let outcome =
-        run_indexed_earliest(
-            configs.len(),
-            jobs,
-            |i, abort| match first_violating_sequence(&configs[i], max_ops, abort) {
-                None => Ok(()),
-                Some(ops) => Err(ops),
-            },
-        );
-    if let Err((i, ops)) = outcome {
-        return Err(counterexample(&configs[i], &ops));
-    }
-    let sequences = sequence_count(op_universe(&configs[0]).len() as u64, max_ops);
-    Ok(CheckReport {
-        configs: configs.len() as u64,
-        sequences,
-        runs: configs.len() as u64 * sequences,
-        wall_ms: u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX),
-        ..CheckReport::default()
-    })
-}
-
-/// The non-blocking boundary configurations: depth 1..=4 × every retire-at
-/// mark × MSHR counts 1..=4 (or just `mshrs` when given), hazard forced to
-/// read-from-WB (the only policy the machine accepts), optionally with an
-/// injected fault. 40 `(config, mshrs)` pairs on the full grid.
-#[must_use]
-pub fn nonblocking_configs(
-    fault: Option<FaultInjection>,
-    mshrs: Option<usize>,
-) -> Vec<(MachineConfig, usize)> {
-    let mut out = Vec::new();
-    for depth in 1..=4usize {
-        for hw in 1..=depth {
-            for m in 1..=4usize {
-                if mshrs.is_some_and(|only| only != m) {
-                    continue;
-                }
-                let mut cfg = MachineConfig::baseline();
-                cfg.write_buffer.depth = depth;
-                cfg.write_buffer.retirement = RetirementPolicy::RetireAt(hw);
-                cfg.write_buffer.hazard = LoadHazardPolicy::ReadFromWb;
-                cfg.check_data = false;
-                cfg.fault = fault;
-                debug_assert!(cfg.validate().is_ok());
-                out.push((cfg, m));
-            }
-        }
-    }
-    out
-}
-
-/// [`InvariantObserver`] for the non-blocking machine. Two invariants
-/// change under overlap:
-///
-/// * the stall taxonomy is exclusive **per cause**, not per cycle: a store
-///   can find the buffer full in the same cycle a queued read sits behind
-///   an underway write, so a cycle may carry at most one `BufferFull` plus
-///   at most one `L2ReadAccess` — and nothing else (hazards never stall
-///   this machine; they merge into the fill);
-/// * loads have two terminal events: resolved-at-issue (checked at its
-///   program-order ordinal) or miss-to-MSHR (no architecturally returned
-///   value; the fill is checked through final memory instead).
-#[derive(Debug, Default)]
-struct NbInvariantObserver {
-    depth: u64,
-    /// Program-ordered terminal events: `Some` = resolved at issue with
-    /// this (addr, value); `None` = went to an MSHR.
-    loads: Vec<Option<(Addr, u64)>>,
-    cycles_seen: u64,
-    max_occupancy: u64,
-    stall_now: Option<u64>,
-    stall_kinds: Vec<wbsim_types::stall::StallKind>,
-    last_autonomous_retire_id: Option<u64>,
-    violation: Option<String>,
-}
-
-impl NbInvariantObserver {
-    fn new(cfg: &MachineConfig) -> Self {
-        NbInvariantObserver {
-            depth: cfg.write_buffer.depth as u64,
-            ..Self::default()
-        }
-    }
-
-    fn fail(&mut self, msg: String) {
-        if self.violation.is_none() {
-            self.violation = Some(msg);
-        }
+    match grid.kind() {
+        MachineKind::Blocking => exhaustive::<Machine>(grid, max_ops, jobs),
+        MachineKind::NonBlocking => exhaustive::<NonBlockingMachine>(grid, max_ops, jobs),
     }
 }
 
-impl Observer for NbInvariantObserver {
-    fn event(&mut self, ev: &Event) {
-        use wbsim_types::stall::StallKind;
-        match *ev {
-            Event::CycleEnd { now, occupancy } => {
-                self.cycles_seen += 1;
-                self.max_occupancy = self.max_occupancy.max(occupancy);
-                if occupancy > self.depth {
-                    self.fail(format!(
-                        "cycle {now}: occupancy {occupancy} exceeds depth {}",
-                        self.depth
-                    ));
-                }
-            }
-            Event::StallCycle { now, kind } => {
-                if self.stall_now != Some(now) {
-                    self.stall_now = Some(now);
-                    self.stall_kinds.clear();
-                }
-                if !matches!(kind, StallKind::BufferFull | StallKind::L2ReadAccess) {
-                    self.fail(format!(
-                        "cycle {now}: stall cause {kind:?} cannot occur on the \
-                         non-blocking machine (hazards merge into fills)"
-                    ));
-                }
-                if self.stall_kinds.contains(&kind) {
-                    self.fail(format!(
-                        "cycle {now}: stall cause {kind:?} charged twice in one \
-                         cycle; under overlap each cause is exclusive per cycle"
-                    ));
-                }
-                self.stall_kinds.push(kind);
-            }
-            Event::RetireStart { now, id, flush } if !flush => {
-                if let Some(prev) = self.last_autonomous_retire_id {
-                    if id <= prev {
-                        self.fail(format!(
-                            "cycle {now}: autonomous retirement of entry {id} \
-                             after entry {prev}; FIFO order requires strictly \
-                             increasing ids"
-                        ));
-                    }
-                }
-                self.last_autonomous_retire_id = Some(id);
-            }
-            Event::LoadResolved { addr, value, .. } => self.loads.push(Some((addr, value))),
-            Event::LoadMiss { .. } => self.loads.push(None),
-            _ => {}
-        }
-    }
-}
-
-/// Runs one sequence on the non-blocking machine with `mshrs` registers
-/// and checks every invariant: the per-event ones asserted by
-/// `NbInvariantObserver`, the per-cycle structural MSHR invariants (at
-/// most `mshrs` outstanding misses, never two to the same line), the
-/// architectural comparison (resolved-load values at their program-order
-/// ordinal, terminal-event count, and final memory — which also proves
-/// merge-on-fill: an unmerged fill installs a stale line that the final
-/// architectural read exposes), the high-water identity, and the
-/// conservation identities (minus cycle accounting — overlap is the whole
-/// point).
-///
-/// # Errors
-///
-/// Returns a human-readable description of the first violated invariant.
-///
-/// # Panics
-///
-/// Panics if `cfg`/`mshrs` are rejected by
-/// [`wbsim_sim::NonBlockingMachine::new`] — the checker explores behavior,
-/// not configuration validation.
-pub fn check_sequence_nonblocking(
-    cfg: &MachineConfig,
-    mshrs: usize,
-    ops: &[Op],
-) -> Result<(), String> {
-    let mut cfg = cfg.clone();
-    cfg.check_data = false;
-    let mut machine =
-        NonBlockingMachine::new(cfg.clone(), mshrs).expect("non-blocking configs are valid");
-    let mut obs = NbInvariantObserver::new(&cfg);
-    let mut iter = ops.iter().copied();
-    while machine.step(&mut iter, &mut obs) {
-        // Structural MSHR invariants live in machine state, invisible to
-        // the event stream: check them on every cycle.
-        let lines = machine.mshr_lines();
-        if lines.len() > mshrs {
-            return Err(format!(
-                "cycle {}: {} outstanding misses exceed the {mshrs} MSHRs",
-                machine.now(),
-                lines.len()
-            ));
-        }
-        for (i, line) in lines.iter().enumerate() {
-            if lines[..i].contains(line) {
-                return Err(format!(
-                    "cycle {}: two MSHRs outstanding for line {line:?}; \
-                     secondary misses must merge",
-                    machine.now()
-                ));
-            }
-        }
-        if machine.now() >= CYCLE_BUDGET {
-            return Err(format!(
-                "run exceeded the {CYCLE_BUDGET}-cycle liveness budget"
-            ));
-        }
-    }
-    if let Some(v) = obs.violation {
-        return Err(v);
-    }
-    let mut stats = *machine.stats();
-    stats.cycles = machine.now();
-
-    // Resolved loads at their program-order ordinal, and exactly one
-    // terminal event per load.
-    let mut oracle = ArchModel::new(cfg.geometry);
-    let expected = oracle.run(ops);
-    for (i, terminal) in obs.loads.iter().enumerate() {
-        let Some((addr, got)) = *terminal else {
-            continue;
-        };
-        let Some(&want) = expected.get(i) else {
-            break; // the count check below reports the mismatch
-        };
-        if got != want {
-            return Err(format!(
-                "load #{i} at {addr:?} observed {got:#x}, architectural model \
-                 says {want:#x} (stale or lost store)"
-            ));
-        }
-    }
-    if obs.loads.len() != expected.len() {
-        return Err(format!(
-            "machine terminated {} loads, stream has {}",
-            obs.loads.len(),
-            expected.len()
-        ));
-    }
-    // Final memory — the merge-on-fill oracle: a fill that skipped the
-    // write-buffer merge leaves a stale line in L1, which the
-    // architectural read (L1-first) exposes.
-    for op in ops {
-        if let Op::Load(addr) | Op::Store(addr) = *op {
-            let got = machine.read_word_architectural(addr);
-            let want = oracle.read_word(addr);
-            if got != want {
-                return Err(format!(
-                    "final memory at {addr:?}: machine reads {got:#x}, \
-                     architectural model says {want:#x}"
-                ));
-            }
-        }
-    }
-
-    let depth = cfg.write_buffer.depth as u64;
-    let hw = stats.wb_detail.high_water;
-    if hw != obs.max_occupancy || hw > depth {
-        return Err(format!(
-            "high-water mark {hw} disagrees with the event stream's maximum \
-             occupancy {} (depth {depth})",
-            obs.max_occupancy
-        ));
-    }
-
-    check_conservation(
-        &cfg,
-        &stats,
-        machine.wb_victim_allocs(),
-        machine.wb_occupancy() as u64,
-        obs.cycles_seen,
-        false, // misses overlap execution; cycle accounting is meaningless
-    )
-    .map_err(|d| format!("conservation identity violated: {d}"))
-}
-
-/// [`minimize`] against the non-blocking checker.
-fn minimize_nonblocking(cfg: &MachineConfig, mshrs: usize, ops: &[Op]) -> Vec<Op> {
-    let mut ops = ops.to_vec();
-    'outer: loop {
-        for i in 0..ops.len() {
-            let mut candidate = ops.clone();
-            candidate.remove(i);
-            if check_sequence_nonblocking(cfg, mshrs, &candidate).is_err() {
-                ops = candidate;
-                continue 'outer;
-            }
-        }
-        return ops;
-    }
-}
-
-pub(crate) fn counterexample_nonblocking(
-    cfg: &MachineConfig,
-    mshrs: usize,
-    ops: &[Op],
-) -> Box<Counterexample> {
-    let ops = minimize_nonblocking(cfg, mshrs, ops);
-    let violation = check_sequence_nonblocking(cfg, mshrs, &ops)
-        .expect_err("minimization preserves the violation");
-    let mut trace = TraceObserver::default();
-    let mut cfg_run = cfg.clone();
-    cfg_run.check_data = false;
-    let _ = NonBlockingMachine::new(cfg_run, mshrs)
-        .expect("non-blocking configs are valid")
-        .run_bounded(ops.iter().copied(), CYCLE_BUDGET, &mut trace);
-    Box::new(Counterexample {
-        config: cfg.clone(),
-        mshrs: Some(mshrs),
-        ops,
-        violation,
-        trace: trace.lines,
-    })
-}
-
-/// [`first_violating_sequence`] against the non-blocking checker.
-pub(crate) fn first_violating_sequence_nonblocking(
-    cfg: &MachineConfig,
-    mshrs: usize,
+fn exhaustive<M: SimMachine>(
+    grid: &CheckGrid,
     max_ops: u32,
-    abort: &dyn Fn() -> bool,
-) -> Option<Vec<Op>> {
-    let universe = op_universe(cfg);
-    let mut ops = Vec::with_capacity(max_ops as usize);
-    for len in 1..=max_ops as usize {
-        let mut odometer = vec![0usize; len];
-        loop {
-            if abort() {
-                return None;
-            }
-            ops.clear();
-            ops.extend(odometer.iter().map(|&i| universe[i]));
-            if check_sequence_nonblocking(cfg, mshrs, &ops).is_err() {
-                return Some(ops);
-            }
-            let mut pos = 0;
-            loop {
-                if pos == len {
-                    break;
-                }
-                odometer[pos] += 1;
-                if odometer[pos] < universe.len() {
-                    break;
-                }
-                odometer[pos] = 0;
-                pos += 1;
-            }
-            if pos == len {
-                break;
-            }
-        }
-    }
-    None
-}
-
-/// [`check_exhaustive`] for the non-blocking machine: every op sequence of
-/// length 1..=`max_ops` across the non-blocking grid (× MSHR counts 1–4,
-/// or just `mshrs` when given), with [`default_jobs`] worker threads.
-///
-/// # Errors
-///
-/// Returns the minimized, replayable [`Counterexample`] for the violation.
-pub fn check_exhaustive_nonblocking(
-    max_ops: u32,
-    fault: Option<FaultInjection>,
-    mshrs: Option<usize>,
-) -> Result<CheckReport, Box<Counterexample>> {
-    check_exhaustive_nonblocking_jobs(max_ops, fault, mshrs, default_jobs())
-}
-
-/// [`check_exhaustive_nonblocking`] with an explicit worker-thread count;
-/// byte-identical for every `jobs` value (only `wall_ms` varies), like
-/// [`check_exhaustive_jobs`].
-///
-/// # Errors
-///
-/// Returns the minimized, replayable [`Counterexample`] for the violation.
-pub fn check_exhaustive_nonblocking_jobs(
-    max_ops: u32,
-    fault: Option<FaultInjection>,
-    mshrs: Option<usize>,
     jobs: usize,
 ) -> Result<CheckReport, Box<Counterexample>> {
-    let start = Instant::now();
-    let configs = nonblocking_configs(fault, mshrs);
-    let outcome = run_indexed_earliest(configs.len(), jobs, |i, abort| {
-        let (cfg, m) = &configs[i];
-        match first_violating_sequence_nonblocking(cfg, *m, max_ops, abort) {
-            None => Ok(()),
-            Some(ops) => Err(ops),
-        }
-    });
-    if let Err((i, ops)) = outcome {
-        let (cfg, m) = &configs[i];
-        return Err(counterexample_nonblocking(cfg, *m, &ops));
-    }
-    let sequences = sequence_count(op_universe(&configs[0].0).len() as u64, max_ops);
-    Ok(CheckReport {
-        configs: configs.len() as u64,
-        sequences,
-        runs: configs.len() as u64 * sequences,
-        wall_ms: u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX),
-        ..CheckReport::default()
-    })
+    let mut report = grid
+        .run(jobs, |cfg, mshrs, abort| {
+            first_violating_sequence::<M>(cfg, mshrs, max_ops, abort).map_or(Ok([0; 3]), Err)
+        })
+        .map_err(|(i, ops)| {
+            let (cfg, mshrs) = &grid.points()[i];
+            counterexample::<M>(cfg, *mshrs, &ops)
+        })?;
+    let universe = grid
+        .points()
+        .first()
+        .map_or(0, |(cfg, _)| op_universe(cfg).len());
+    report.sequences = sequence_count(universe as u64, max_ops);
+    report.runs = report.configs * report.sequences;
+    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use wbsim_sim::EventParseError;
+    use wbsim_types::divergence::FaultInjection;
+    use wbsim_types::policy::LoadHazardPolicy;
+
+    fn grid(kind: MachineKind, fault: Option<FaultInjection>) -> CheckGrid {
+        CheckGrid::new(kind, fault, None).expect("full grid")
+    }
+
+    /// [`check_sequence`] on the machine `kind` names.
+    fn sequence_ok(
+        kind: MachineKind,
+        cfg: &MachineConfig,
+        mshrs: Option<usize>,
+        ops: &[Op],
+    ) -> bool {
+        match kind {
+            MachineKind::Blocking => check_sequence::<Machine>(cfg, mshrs, ops).is_ok(),
+            MachineKind::NonBlocking => {
+                check_sequence::<NonBlockingMachine>(cfg, mshrs, ops).is_ok()
+            }
+        }
+    }
 
     #[test]
     fn universe_is_two_lines_by_two_words() {
@@ -915,186 +451,92 @@ mod tests {
     }
 
     #[test]
-    fn boundary_configs_cover_the_grid() {
-        let cfgs = bounded_configs(None);
-        assert_eq!(cfgs.len(), 40);
-        assert!(cfgs.iter().all(|c| c.validate().is_ok()));
-        // Every hazard policy appears, and depth 1 with retire-at-1 exists.
-        for h in LoadHazardPolicy::ALL {
-            assert!(cfgs.iter().any(|c| c.write_buffer.hazard == h));
-        }
-        assert!(cfgs.iter().any(|c| c.write_buffer.depth == 1));
-    }
-
-    #[test]
     fn sequence_count_is_a_geometric_sum() {
         assert_eq!(sequence_count(8, 1), 8);
         assert_eq!(sequence_count(8, 3), 8 + 64 + 512);
     }
 
     #[test]
-    fn short_exhaustive_check_is_clean() {
-        let report = check_exhaustive(3, None).expect("no violations at depth 3");
-        assert_eq!(report.configs, 40);
-        assert_eq!(report.sequences, 8 + 64 + 512);
-        assert_eq!(report.runs, 40 * (8 + 64 + 512));
+    fn short_exhaustive_check_is_clean_on_both_machines() {
+        for kind in MachineKind::ALL {
+            let report = check_exhaustive(&grid(kind, None), 3, 2).expect("no violations at 3");
+            assert_eq!(report.configs, 40, "{kind:?}");
+            assert_eq!(report.sequences, 8 + 64 + 512);
+            assert_eq!(report.runs, 40 * (8 + 64 + 512));
+        }
     }
 
     #[test]
-    fn injected_fault_yields_minimized_replayable_counterexample() {
-        let ce = check_exhaustive(3, Some(FaultInjection::SkipWbForwarding))
-            .expect_err("skipping WB forwarding must violate data freshness");
-        assert!(
-            ce.config.write_buffer.hazard == LoadHazardPolicy::ReadFromWb,
-            "the fault only bites under read-from-WB"
-        );
-        assert!(!ce.ops.is_empty());
-        assert!(!ce.violation.is_empty());
-        // 1-minimal: removing any op makes the violation disappear.
-        for i in 0..ce.ops.len() {
-            let mut fewer = ce.ops.clone();
-            fewer.remove(i);
-            assert!(
-                check_sequence(&ce.config, &fewer).is_ok(),
-                "counterexample is not minimal: op {i} is removable"
+    fn injected_fault_yields_minimized_replayable_counterexample_on_both_machines() {
+        for kind in MachineKind::ALL {
+            let ce = check_exhaustive(&grid(kind, Some(FaultInjection::SkipWbForwarding)), 3, 2)
+                .expect_err("skipping WB forwarding must violate data freshness");
+            assert_eq!(
+                ce.config.write_buffer.hazard,
+                LoadHazardPolicy::ReadFromWb,
+                "the fault only bites under read-from-WB"
             );
-        }
-        // Replayable: every trace line round-trips through the event codec.
-        assert!(!ce.trace.is_empty());
-        for line in &ce.trace {
-            let ev: Result<Event, EventParseError> = Event::from_json(line);
-            ev.expect("counterexample trace must be valid JSONL");
+            assert_eq!(
+                ce.mshrs.is_some(),
+                kind == MachineKind::NonBlocking,
+                "non-blocking counterexamples carry the MSHR count"
+            );
+            assert!(!ce.ops.is_empty());
+            assert!(!ce.violation.is_empty());
+            // 1-minimal: removing any op makes the violation disappear.
+            for i in 0..ce.ops.len() {
+                let mut fewer = ce.ops.clone();
+                fewer.remove(i);
+                assert!(
+                    sequence_ok(kind, &ce.config, ce.mshrs, &fewer),
+                    "{kind:?}: counterexample is not minimal: op {i} is removable"
+                );
+            }
+            // Replayable: every trace line round-trips through the event codec.
+            assert!(!ce.trace.is_empty());
+            for line in &ce.trace {
+                let ev: Result<Event, EventParseError> = Event::from_json(line);
+                ev.expect("counterexample trace must be valid JSONL");
+            }
         }
     }
 
     #[test]
-    fn parallel_and_serial_exhaustive_runs_agree() {
-        // Satellite: parallelized check must be byte-identical to serial
+    fn parallel_and_serial_exhaustive_runs_agree_on_both_machines() {
+        // A parallelized check must be byte-identical to a serial one
         // (wall time excepted) — both on a clean grid and, with a fault
         // injected, down to the exact counterexample.
-        let mut one = check_exhaustive_jobs(2, None, 1).expect("clean grid");
-        let mut four = check_exhaustive_jobs(2, None, 4).expect("clean grid");
-        one.wall_ms = 0;
-        four.wall_ms = 0;
-        assert_eq!(one, four);
+        for kind in MachineKind::ALL {
+            let clean = grid(kind, None);
+            let mut one = check_exhaustive(&clean, 2, 1).expect("clean grid");
+            let mut four = check_exhaustive(&clean, 2, 4).expect("clean grid");
+            one.wall_ms = 0;
+            four.wall_ms = 0;
+            assert_eq!(one, four, "{kind:?}");
 
-        let a = check_exhaustive_jobs(3, Some(FaultInjection::SkipWbForwarding), 1)
-            .expect_err("fault must be caught");
-        let b = check_exhaustive_jobs(3, Some(FaultInjection::SkipWbForwarding), 4)
-            .expect_err("fault must be caught");
-        assert_eq!(a.config, b.config);
-        assert_eq!(a.ops, b.ops);
-        assert_eq!(a.violation, b.violation);
-        assert_eq!(a.trace, b.trace);
-    }
-
-    #[test]
-    fn nonblocking_configs_cover_the_grid() {
-        let cfgs = nonblocking_configs(None, None);
-        assert_eq!(cfgs.len(), 40); // 10 (depth, retire-at) shapes × 4 MSHR counts
-        assert!(cfgs.iter().all(|(c, _)| c.validate().is_ok()));
-        assert!(cfgs
-            .iter()
-            .all(|(c, _)| c.write_buffer.hazard == LoadHazardPolicy::ReadFromWb));
-        for m in 1..=4usize {
-            assert!(cfgs.iter().any(|&(_, got)| got == m));
-            assert_eq!(nonblocking_configs(None, Some(m)).len(), 10);
+            let faulty = grid(kind, Some(FaultInjection::SkipWbForwarding));
+            let a = check_exhaustive(&faulty, 3, 1).expect_err("fault must be caught");
+            let b = check_exhaustive(&faulty, 3, 4).expect_err("fault must be caught");
+            assert_eq!(a.config, b.config);
+            assert_eq!(a.mshrs, b.mshrs);
+            assert_eq!(a.ops, b.ops);
+            assert_eq!(a.violation, b.violation);
+            assert_eq!(a.trace, b.trace);
         }
     }
 
     #[test]
-    fn short_nonblocking_exhaustive_check_is_clean() {
-        let report = check_exhaustive_nonblocking(3, None, None).expect("no violations");
-        assert_eq!(report.configs, 40);
-        assert_eq!(report.sequences, 8 + 64 + 512);
-        assert_eq!(report.runs, 40 * (8 + 64 + 512));
-    }
-
-    #[test]
-    fn nonblocking_injected_fault_yields_minimized_replayable_counterexample() {
-        let ce = check_exhaustive_nonblocking(3, Some(FaultInjection::SkipWbForwarding), None)
-            .expect_err("an unmerged fill must corrupt final memory");
-        let m = ce
-            .mshrs
-            .expect("non-blocking counterexamples carry the MSHR count");
-        assert!(!ce.ops.is_empty());
-        assert!(!ce.violation.is_empty());
-        for i in 0..ce.ops.len() {
-            let mut fewer = ce.ops.clone();
-            fewer.remove(i);
-            assert!(
-                check_sequence_nonblocking(&ce.config, m, &fewer).is_ok(),
-                "counterexample is not minimal: op {i} is removable"
-            );
-        }
-        assert!(!ce.trace.is_empty());
-        for line in &ce.trace {
-            let ev: Result<Event, EventParseError> = Event::from_json(line);
-            ev.expect("counterexample trace must be valid JSONL");
-        }
-    }
-
-    #[test]
-    fn nonblocking_parallel_and_serial_exhaustive_runs_agree() {
-        let mut one = check_exhaustive_nonblocking_jobs(2, None, None, 1).expect("clean grid");
-        let mut four = check_exhaustive_nonblocking_jobs(2, None, None, 4).expect("clean grid");
-        one.wall_ms = 0;
-        four.wall_ms = 0;
-        assert_eq!(one, four);
-
-        let a =
-            check_exhaustive_nonblocking_jobs(3, Some(FaultInjection::SkipWbForwarding), None, 1)
-                .expect_err("fault must be caught");
-        let b =
-            check_exhaustive_nonblocking_jobs(3, Some(FaultInjection::SkipWbForwarding), None, 4)
-                .expect_err("fault must be caught");
-        assert_eq!(a.config, b.config);
-        assert_eq!(a.mshrs, b.mshrs);
-        assert_eq!(a.ops, b.ops);
-        assert_eq!(a.violation, b.violation);
-        assert_eq!(a.trace, b.trace);
-    }
-
-    #[test]
-    fn nonblocking_check_accepts_overlap_heavy_pairs() {
-        for (cfg, m) in nonblocking_configs(None, None) {
-            let u = op_universe(&cfg);
-            // Store then load of the same word (hazard → MSHR merge path).
-            check_sequence_nonblocking(&cfg, m, &[u[0], u[1]]).expect("hazard pair is clean");
-        }
-    }
-
-    #[test]
-    fn report_json_names_every_field() {
-        let r = CheckReport {
-            configs: 1,
-            sequences: 2,
-            runs: 3,
-            states_explored: 4,
-            edges: 5,
-            sccs: 6,
-            wall_ms: 7,
-        };
-        let j = r.to_json();
-        for key in [
-            "configs",
-            "sequences",
-            "runs",
-            "states_explored",
-            "edges",
-            "sccs",
-            "wall_ms",
-        ] {
-            assert!(j.contains(&format!("\"{key}\":")), "missing {key} in {j}");
-        }
-    }
-
-    #[test]
-    fn check_sequence_accepts_a_hazardous_store_load_pair() {
-        let cfgs = bounded_configs(None);
+    fn check_sequence_accepts_a_hazardous_store_load_pair_on_both_machines() {
         let a = Addr::new(0);
-        for cfg in &cfgs {
-            check_sequence(cfg, &[Op::Store(a), Op::Load(a)]).expect("hazard pair is clean");
+        for kind in MachineKind::ALL {
+            for (cfg, mshrs) in grid(kind, None).points().iter().cloned() {
+                // Store then load of the same word: the hazard path (and,
+                // with MSHRs, the merge path).
+                assert!(
+                    sequence_ok(kind, &cfg, mshrs, &[Op::Store(a), Op::Load(a)]),
+                    "{kind:?}: hazard pair must be clean"
+                );
+            }
         }
     }
 }

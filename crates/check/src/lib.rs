@@ -13,10 +13,10 @@
 //!   [`MachineConfig::validate`]; the linter maps its errors to `CFG…`
 //!   diagnostics and layers advisory `LNT…` rules on top.
 //! * [`bounded`] — exhaustive enumeration of *all* op sequences up to a
-//!   small length over 2 cache lines × 2 words, across every hazard policy
-//!   × depth 1–4 × retire-at mark, asserting the paper's invariants from
-//!   the event stream on every run. Violations come back as minimized,
-//!   replayable JSONL counterexamples.
+//!   small length over 2 cache lines × 2 words, across every point of a
+//!   checker grid, asserting the paper's invariants from the event stream
+//!   on every run. Violations come back as minimized, replayable JSONL
+//!   counterexamples.
 //! * [`reach`] — *unbounded* reachability: a visited-set BFS over the
 //!   canonical [`abstract_state`] quotient of the machine (value-blind,
 //!   time-shifted, line-renamed), proving the same invariants for op
@@ -27,7 +27,7 @@
 //!   event alphabet: user-defined safety and liveness specs compiled to
 //!   monitor automata and checked three ways — unboundedly via the
 //!   product with the abstract state graph, boundedly through the
-//!   sequence drivers, and at runtime over recorded JSONL traces. The
+//!   sequence driver, and at runtime over recorded JSONL traces. The
 //!   built-in library ([`builtin_library`]) encodes the paper's claims.
 //! * [`refine`] — *cross-engine refinement*: a lockstep product BFS of
 //!   (event-driven, reference) machine pairs over the same abstract
@@ -35,6 +35,20 @@
 //!   stream cycle-exact for op sequences of arbitrary length, with
 //!   span-classified divergences (`REF100`–`REF102`) minimized into
 //!   replayable counterexamples.
+//! * [`grid`] — the [`CheckGrid`] of design points every grid checker
+//!   covers, and the machinery they share: the earliest-failure
+//!   scheduler, odometer enumeration, greedy minimization and the BFS
+//!   driver.
+//! * [`sched`] — a controlled-scheduler model checker for the host-side
+//!   concurrency of the job layer (`wbsim check --sched`).
+//!
+//! Every machine-level checker is written once, generic over
+//! [`wbsim_sim::SimMachine`], and runs on the blocking and the
+//! non-blocking machine alike: the point-level entry points
+//! (`check_sequence`, `check_reach_point`, …) take the machine as a type
+//! parameter, and the grid-level ones (`check_exhaustive`, `check_reach`,
+//! `check_props_reach`, `check_refine`) take a [`CheckGrid`] and
+//! dispatch on its [`wbsim_sim::MachineKind`] once.
 //!
 //! The CLI front end is `wbsim check`; the experiments harness lints every
 //! sweep grid before running it.
@@ -62,6 +76,7 @@
 
 pub mod abstract_state;
 pub mod bounded;
+pub mod grid;
 pub mod lint;
 pub mod prop;
 pub mod prop_automaton;
@@ -74,35 +89,27 @@ pub mod sched;
 pub use abstract_state::{
     canonical_state, AbsEntry, AbsLine, AbsMshr, AbsState, ShadowTracker, WordAbs,
 };
-pub use bounded::{
-    bounded_configs, check_exhaustive, check_exhaustive_jobs, check_exhaustive_nonblocking,
-    check_exhaustive_nonblocking_jobs, check_sequence, check_sequence_nonblocking, default_jobs,
-    nonblocking_configs, run_indexed_earliest, CheckReport, Counterexample,
-};
+pub use bounded::{check_exhaustive, check_sequence, op_universe, Counterexample};
+pub use grid::{default_jobs, run_indexed_earliest, CheckGrid, CheckReport, GRID_MSHRS};
 pub use lint::{
-    config_error_diagnostic, lint_config, lint_grid, lint_nonblocking, parse_error_diagnostic,
-    Rule, RULES,
+    config_error_diagnostic, lint_config, lint_grid, lint_machine, parse_error_diagnostic, Rule,
+    RULES,
 };
 pub use prop::{
-    builtin_library, builtin_library_text, check_props_sequence, check_props_sequence_nonblocking,
-    compile as compile_props, first_prop_violation, first_prop_violation_nonblocking, PropEnv,
-    PropRunner, PropViolation, SkippedProp, PROP_LIBRARY_VERSION,
+    builtin_library, builtin_library_text, check_props_sequence, compile as compile_props,
+    first_prop_violation, PropEnv, PropRunner, PropViolation, SkippedProp, PROP_LIBRARY_VERSION,
 };
 pub use prop_automaton::Monitors;
 pub use prop_parse::{parse_props, PropSet};
-pub use prop_product::{
-    check_props_reach, check_props_reach_config, check_props_reach_config_nonblocking,
-    check_props_reach_jobs, check_props_reach_nonblocking, check_props_reach_nonblocking_jobs,
-    PropConfigStats, PropReport,
-};
+pub use prop_product::{check_props_reach, check_props_reach_point, PropConfigStats, PropReport};
 pub use reach::{
-    check_liveness_sequence, check_liveness_sequence_nonblocking, check_reach, check_reach_config,
-    check_reach_config_nonblocking, check_reach_jobs, check_reach_nonblocking,
-    check_reach_nonblocking_jobs, ReachConfigStats, ReachViolation,
+    check_liveness_sequence, check_reach, check_reach_config, check_reach_config_nonblocking,
+    check_reach_jobs, check_reach_nonblocking_jobs, check_reach_point, ReachConfigStats,
+    ReachViolation,
 };
 pub use refine::{
     check_refine, check_refine_config, check_refine_config_nonblocking, check_refine_jobs,
-    check_refine_nonblocking, check_refine_nonblocking_jobs, first_divergence, read_event_stream,
+    check_refine_nonblocking_jobs, check_refine_point, first_divergence, read_event_stream,
     refine_universe, RefineConfigStats, RefineViolation,
 };
 pub use sched::{

@@ -34,6 +34,7 @@
 //! The machine-readable version of this table is [`RULES`]; a test pins
 //! `docs/static-analysis.md` against it so the rendered docs cannot drift.
 
+use wbsim_sim::MachineKind;
 use wbsim_types::config::{ConfigError, IcacheConfig, MachineConfig};
 use wbsim_types::diagnostics::{Diagnostic, Severity};
 use wbsim_types::file_config::ConfigParseError;
@@ -291,18 +292,24 @@ pub fn lint_config(cfg: &MachineConfig) -> Vec<Diagnostic> {
     out
 }
 
-/// Lints a non-blocking (MSHR) machine configuration: everything
-/// [`lint_config`] checks, plus the advisory MSHR-sizing rule (LNT006) —
-/// more miss registers than write-buffer entries is legal, but the single
-/// L2 port serializes fills and read-bypassing already lets every load
-/// miss jump the write queue, so the extra registers mostly widen
+/// Lints a configuration for machine `kind`: everything [`lint_config`]
+/// checks, plus — on the non-blocking machine with `mshrs` registers (1
+/// when unset) — the advisory MSHR-sizing rule (LNT006): more miss
+/// registers than write-buffer entries is legal, but the single L2 port
+/// serializes fills and read-bypassing already lets every load miss jump
+/// the write queue, so the extra registers mostly widen
 /// retirement-starvation windows (§4.3).
 #[must_use]
-pub fn lint_nonblocking(cfg: &MachineConfig, mshrs: usize) -> Vec<Diagnostic> {
+pub fn lint_machine(
+    kind: MachineKind,
+    cfg: &MachineConfig,
+    mshrs: Option<usize>,
+) -> Vec<Diagnostic> {
     let mut out = lint_config(cfg);
-    if out.iter().any(|d| d.severity == Severity::Error) {
+    if kind == MachineKind::Blocking || out.iter().any(|d| d.severity == Severity::Error) {
         return out;
     }
+    let mshrs = mshrs.unwrap_or(1);
     if mshrs > cfg.write_buffer.depth {
         out.push(
             Diagnostic::new("LNT006", Severity::Info, "mshrs")
@@ -485,18 +492,21 @@ mod tests {
     #[test]
     fn lnt006_more_mshrs_than_buffer_entries() {
         let b = MachineConfig::baseline(); // depth 4
-        let ds = lint_nonblocking(&b, 8);
+        let ds = lint_machine(MachineKind::NonBlocking, &b, Some(8));
         assert!(codes(&ds).contains(&"LNT006"));
         let d = ds.iter().find(|d| d.code == "LNT006").unwrap();
         assert_eq!(d.severity, Severity::Info);
         assert_eq!(d.field_path, "mshrs");
         assert!(d.suggestion.is_some());
         // Non-firing: MSHR count at or below the depth.
-        assert!(!codes(&lint_nonblocking(&b, 4)).contains(&"LNT006"));
-        assert!(!codes(&lint_nonblocking(&b, 1)).contains(&"LNT006"));
+        assert!(!codes(&lint_machine(MachineKind::NonBlocking, &b, Some(4))).contains(&"LNT006"));
+        assert!(!codes(&lint_machine(MachineKind::NonBlocking, &b, Some(1))).contains(&"LNT006"));
         // An invalid configuration reports only its CFG error.
         let bad = with_wb(|wb| wb.depth = 0);
-        assert_eq!(codes(&lint_nonblocking(&bad, 8)), ["CFG002"]);
+        assert_eq!(
+            codes(&lint_machine(MachineKind::NonBlocking, &bad, Some(8))),
+            ["CFG002"]
+        );
     }
 
     #[test]
@@ -509,10 +519,14 @@ mod tests {
                 wb.retirement = RetirementPolicy::RetireAt(1.max(depth / 2));
             });
             assert!(
-                !codes(&lint_nonblocking(&m, depth)).contains(&"LNT006"),
+                !codes(&lint_machine(MachineKind::NonBlocking, &m, Some(depth)))
+                    .contains(&"LNT006"),
                 "LNT006 fired at the mshrs == depth == {depth} boundary"
             );
-            assert!(codes(&lint_nonblocking(&m, depth + 1)).contains(&"LNT006"));
+            assert!(
+                codes(&lint_machine(MachineKind::NonBlocking, &m, Some(depth + 1)))
+                    .contains(&"LNT006")
+            );
         }
     }
 
@@ -521,7 +535,10 @@ mod tests {
         let mut m = MachineConfig::baseline();
         m.icache = wbsim_types::config::IcacheConfig::MissEvery { interval: 100 };
         let ds = lint_config(&m);
-        let d = ds.iter().find(|d| d.code == "LNT007").expect("LNT007 fires");
+        let d = ds
+            .iter()
+            .find(|d| d.code == "LNT007")
+            .expect("LNT007 fires");
         assert_eq!(d.severity, Severity::Info);
         assert_eq!(d.field_path, "icache");
         assert!(d.suggestion.is_some());

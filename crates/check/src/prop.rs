@@ -13,10 +13,9 @@
 //!   streams any JSONL trace through it and asks [`PropRunner::finish`] at
 //!   end of trace (a pending liveness obligation on a finite trace is a
 //!   violation — the trace is the whole run).
-//! * [`check_props_sequence`] / [`check_props_sequence_nonblocking`] run
-//!   one op sequence on a real machine, thread the monitors through every
-//!   cycle, and settle liveness on the terminal fair-drain schedule — the
-//!   bounded cross-validation side.
+//! * [`check_props_sequence`] runs one op sequence on either machine,
+//!   threads the monitors through every cycle, and settles liveness on the
+//!   terminal fair-drain schedule — the bounded cross-validation side.
 //! * [`crate::prop_product`] takes the same bundle into the unbounded
 //!   product with the abstract state graph.
 //!
@@ -24,15 +23,16 @@
 //! the paper's claims and is the default property set for
 //! `wbsim check --prop`.
 
-use wbsim_sim::{Event, Machine, MachineSnapshot, NonBlockingMachine, Observer};
+use wbsim_sim::{Event, MachineKind, MachineSnapshot, Observer, SimMachine};
 use wbsim_types::config::MachineConfig;
 use wbsim_types::diagnostics::{Diagnostic, Severity};
 use wbsim_types::op::Op;
 
-use crate::bounded::{Counterexample, TraceObserver};
+use crate::bounded::{op_universe, Counterexample};
+use crate::grid::{first_flagged, minimize};
 use crate::prop_automaton::{compile_property, policy_token, MonViolation, Monitors};
 use crate::prop_parse::{parse_props, CmpOp, PropSet, ValueExpr, WhereClause};
-use crate::reach::{universe_lines, DRAIN_WALK_BOUND, OP_CYCLE_BUDGET, STALL_PROBE_WINDOW};
+use crate::reach::{probe_window, replay_trace, universe_lines, DRAIN_WALK_BOUND, OP_CYCLE_BUDGET};
 
 /// Version of the built-in property library. Part of the check-job cache
 /// key: bump it whenever `props/paper.wbp` changes so cached check results
@@ -78,25 +78,15 @@ impl PropEnv {
         PropEnv::default()
     }
 
-    /// The blocking machine under `cfg`.
+    /// Machine `kind` under `cfg`, with `mshrs` registers on the
+    /// non-blocking machine (`None` leaves `mshrs` unbound).
     #[must_use]
-    pub fn blocking(cfg: &MachineConfig) -> Self {
+    pub fn machine(kind: MachineKind, cfg: &MachineConfig, mshrs: Option<usize>) -> Self {
         PropEnv {
-            machine: Some("blocking"),
+            machine: Some(kind.name()),
             hazard: Some(policy_token(cfg.write_buffer.hazard)),
             depth: Some(cfg.write_buffer.depth as u64),
-            mshrs: None,
-        }
-    }
-
-    /// The non-blocking machine under `cfg` with `mshrs` registers.
-    #[must_use]
-    pub fn nonblocking(cfg: &MachineConfig, mshrs: usize) -> Self {
-        PropEnv {
-            machine: Some("nonblocking"),
-            hazard: Some(policy_token(cfg.write_buffer.hazard)),
-            depth: Some(cfg.write_buffer.depth as u64),
-            mshrs: Some(mshrs as u64),
+            mshrs: mshrs.map(|m| m as u64),
         }
     }
 
@@ -319,15 +309,12 @@ impl Observer for PropRunner {
     }
 }
 
-/// Drain bound for the bounded drivers (the reach checker's defensive
-/// bound fits here too).
-const PROP_DRAIN_BOUND: usize = DRAIN_WALK_BOUND;
-
-/// Runs one op sequence on the blocking machine under `cfg` and checks the
-/// property set over the full run, including the terminal fair-drain
-/// schedule: a safety violation surfaces at its event; liveness
-/// obligations must discharge by the time the drain terminates (a drain
-/// that cycles or a wedged op can never discharge them).
+/// Runs one op sequence on machine `M` (with `mshrs` registers when it has
+/// them) under `cfg` and checks the property set over the full run,
+/// including the terminal fair-drain schedule: a safety violation
+/// surfaces at its event; liveness obligations must discharge by the time
+/// the drain terminates (a drain that cycles or a wedged op can never
+/// discharge them).
 ///
 /// # Errors
 ///
@@ -335,32 +322,29 @@ const PROP_DRAIN_BOUND: usize = DRAIN_WALK_BOUND;
 ///
 /// # Panics
 ///
-/// Panics if `cfg` fails [`MachineConfig::validate`] — like the other
-/// checkers, this explores behavior of valid configurations only.
-pub fn check_props_sequence(
+/// Panics if `M::build` rejects `cfg`/`mshrs` — like the other checkers,
+/// this explores behavior of valid configurations only.
+pub fn check_props_sequence<M: SimMachine>(
     cfg: &MachineConfig,
+    mshrs: Option<usize>,
     set: &PropSet,
     ops: &[Op],
 ) -> Result<(), PropViolation> {
     let mut cfg = cfg.clone();
     cfg.check_data = false;
-    let env = PropEnv::blocking(&cfg);
+    let env = PropEnv::machine(M::KIND, &cfg, mshrs);
     let (monitors, _) = compile(set, &env);
     if monitors.is_empty() {
         return Ok(());
     }
     let lines = universe_lines(&cfg);
     let mut runner = PropRunner::new(monitors);
-    let mut m = Machine::new(cfg).expect("caller validates the configuration");
+    let mut m = M::build(cfg, mshrs).expect("caller validates the configuration");
     for &op in ops {
         if m.run_op_bounded(op, OP_CYCLE_BUDGET, &mut runner).is_none() {
             // The op wedged: give the machine a probe window, then any
             // still-pending obligation is undischargeable.
-            for _ in 0..STALL_PROBE_WINDOW {
-                if !m.step(&mut std::iter::empty(), &mut runner) {
-                    break;
-                }
-            }
+            probe_window(&mut m, &mut runner);
             if let Some(v) = runner.take_violation() {
                 return Err(v);
             }
@@ -370,74 +354,16 @@ pub fn check_props_sequence(
             return Err(v);
         }
     }
-    settle_drain(&mut runner, |obs| {
-        let s = m.snapshot(&lines);
-        (s, m.drain_step(obs))
-    })
-}
-
-/// [`check_props_sequence`] on the non-blocking machine with `mshrs`
-/// registers.
-///
-/// # Errors
-///
-/// The first [`PropViolation`].
-///
-/// # Panics
-///
-/// Panics if `cfg`/`mshrs` are rejected by
-/// [`wbsim_sim::NonBlockingMachine::new`].
-pub fn check_props_sequence_nonblocking(
-    cfg: &MachineConfig,
-    mshrs: usize,
-    set: &PropSet,
-    ops: &[Op],
-) -> Result<(), PropViolation> {
-    let mut cfg = cfg.clone();
-    cfg.check_data = false;
-    let env = PropEnv::nonblocking(&cfg, mshrs);
-    let (monitors, _) = compile(set, &env);
-    if monitors.is_empty() {
-        return Ok(());
-    }
-    let lines = universe_lines(&cfg);
-    let mut runner = PropRunner::new(monitors);
-    let mut m = NonBlockingMachine::new(cfg, mshrs).expect("caller validates the configuration");
-    for &op in ops {
-        if m.run_op_bounded(op, OP_CYCLE_BUDGET, &mut runner).is_none() {
-            for _ in 0..STALL_PROBE_WINDOW {
-                if !m.step(&mut std::iter::empty(), &mut runner) {
-                    break;
-                }
-            }
-            if let Some(v) = runner.take_violation() {
-                return Err(v);
-            }
-            return runner.pending_violation().map_or(Ok(()), Err);
-        }
-        if let Some(v) = runner.take_violation() {
-            return Err(v);
-        }
-    }
-    settle_drain(&mut runner, |obs| {
-        let s = m.snapshot(&lines);
-        (s, m.drain_step(obs))
-    })
-}
-
-/// Walks the terminal fair-drain schedule under the monitors. Snapshots
-/// are time-shift invariant and frozen during a drain, so a repeat is a
-/// cycle: obligations pending there never discharge.
-fn settle_drain(
-    runner: &mut PropRunner,
-    mut drain: impl FnMut(&mut PropRunner) -> (MachineSnapshot, bool),
-) -> Result<(), PropViolation> {
+    // Walks the terminal fair-drain schedule under the monitors.
+    // Snapshots are time-shift invariant and frozen during a drain, so a
+    // repeat is a cycle: obligations pending there never discharge.
     let mut seen: Vec<MachineSnapshot> = Vec::new();
     loop {
         if let Some(v) = runner.take_violation() {
             return Err(v);
         }
-        let (s, stepped) = drain(runner);
+        let s = m.snapshot(&lines);
+        let stepped = m.drain_step(&mut runner);
         if let Some(v) = runner.take_violation() {
             return Err(v);
         }
@@ -446,7 +372,7 @@ fn settle_drain(
             // a violation on this (complete, finite) run.
             return runner.pending_violation().map_or(Ok(()), Err);
         }
-        if seen.contains(&s) || seen.len() > PROP_DRAIN_BOUND {
+        if seen.contains(&s) || seen.len() > DRAIN_WALK_BOUND {
             return runner.pending_violation().map_or(Ok(()), Err);
         }
         seen.push(s);
@@ -454,200 +380,53 @@ fn settle_drain(
 }
 
 /// Enumerates op sequences of length 1..=`max_ops` in odometer order and
-/// returns the first that violates the property set, with its violation.
-/// `abort` is polled once per sequence.
+/// returns the first that violates the property set on machine `M`, with
+/// its violation. `abort` is polled once per sequence.
 #[must_use]
-pub fn first_prop_violation(
-    cfg: &MachineConfig,
-    set: &PropSet,
-    max_ops: u32,
-    abort: &dyn Fn() -> bool,
-) -> Option<(Vec<Op>, PropViolation)> {
-    first_violation_impl(cfg, max_ops, abort, |ops| {
-        check_props_sequence(cfg, set, ops).err()
-    })
-}
-
-/// [`first_prop_violation`] on the non-blocking machine.
-#[must_use]
-pub fn first_prop_violation_nonblocking(
-    cfg: &MachineConfig,
-    mshrs: usize,
-    set: &PropSet,
-    max_ops: u32,
-    abort: &dyn Fn() -> bool,
-) -> Option<(Vec<Op>, PropViolation)> {
-    first_violation_impl(cfg, max_ops, abort, |ops| {
-        check_props_sequence_nonblocking(cfg, mshrs, set, ops).err()
-    })
-}
-
-fn first_violation_impl(
-    cfg: &MachineConfig,
-    max_ops: u32,
-    abort: &dyn Fn() -> bool,
-    check: impl Fn(&[Op]) -> Option<PropViolation>,
-) -> Option<(Vec<Op>, PropViolation)> {
-    let universe = crate::bounded::op_universe(cfg);
-    let mut ops = Vec::with_capacity(max_ops as usize);
-    for len in 1..=max_ops as usize {
-        let mut odometer = vec![0usize; len];
-        loop {
-            if abort() {
-                return None;
-            }
-            ops.clear();
-            ops.extend(odometer.iter().map(|&i| universe[i]));
-            if let Some(v) = check(&ops) {
-                return Some((ops, v));
-            }
-            let mut pos = 0;
-            loop {
-                if pos == len {
-                    break;
-                }
-                odometer[pos] += 1;
-                if odometer[pos] < universe.len() {
-                    break;
-                }
-                odometer[pos] = 0;
-                pos += 1;
-            }
-            if pos == len {
-                break;
-            }
-        }
-    }
-    None
-}
-
-/// Greedy 1-minimization preserving "violates the set with the same
-/// liveness class" — a safety witness stays a safety witness, so the
-/// minimized counterexample replays the same kind of failure.
-pub(crate) fn minimize_props(
+pub fn first_prop_violation<M: SimMachine>(
     cfg: &MachineConfig,
     mshrs: Option<usize>,
     set: &PropSet,
-    ops: &[Op],
-    want_liveness: bool,
-) -> Vec<Op> {
-    let still_violates = |ops: &[Op]| -> bool {
-        let r = match mshrs {
-            None => check_props_sequence(cfg, set, ops),
-            Some(m) => check_props_sequence_nonblocking(cfg, m, set, ops),
-        };
-        matches!(r, Err(v) if v.liveness == want_liveness)
-    };
-    let mut ops = ops.to_vec();
-    'outer: loop {
-        for i in 0..ops.len() {
-            let mut candidate = ops.clone();
-            candidate.remove(i);
-            if still_violates(&candidate) {
-                ops = candidate;
-                continue 'outer;
-            }
-        }
-        return ops;
-    }
-}
-
-/// Replays `ops` under a trace collector: the ops, the wedged-stall probe
-/// window if an op never completes, and otherwise the terminal drain up to
-/// one full period (so a liveness counterexample's trace visibly never
-/// retires, and a safety counterexample's trace contains its bad event).
-pub(crate) fn prop_trace(cfg: &MachineConfig, mshrs: Option<usize>, ops: &[Op]) -> Vec<String> {
-    let mut cfg = cfg.clone();
-    cfg.check_data = false;
-    let lines = universe_lines(&cfg);
-    let mut trace = TraceObserver::default();
-    match mshrs {
-        None => {
-            let mut m = Machine::new(cfg).expect("caller validates the configuration");
-            for &op in ops {
-                if m.run_op_bounded(op, OP_CYCLE_BUDGET, &mut trace).is_none() {
-                    for _ in 0..STALL_PROBE_WINDOW {
-                        if !m.step(&mut std::iter::empty(), &mut trace) {
-                            break;
-                        }
-                    }
-                    return trace.lines;
-                }
-            }
-            let mut seen: Vec<MachineSnapshot> = Vec::new();
-            loop {
-                let s = m.snapshot(&lines);
-                if seen.contains(&s) || seen.len() > PROP_DRAIN_BOUND {
-                    return trace.lines;
-                }
-                seen.push(s);
-                if !m.drain_step(&mut trace) {
-                    return trace.lines;
-                }
-            }
-        }
-        Some(mshrs) => {
-            let mut m =
-                NonBlockingMachine::new(cfg, mshrs).expect("caller validates the configuration");
-            for &op in ops {
-                if m.run_op_bounded(op, OP_CYCLE_BUDGET, &mut trace).is_none() {
-                    for _ in 0..STALL_PROBE_WINDOW {
-                        if !m.step(&mut std::iter::empty(), &mut trace) {
-                            break;
-                        }
-                    }
-                    return trace.lines;
-                }
-            }
-            let mut seen: Vec<MachineSnapshot> = Vec::new();
-            loop {
-                let s = m.snapshot(&lines);
-                if seen.contains(&s) || seen.len() > PROP_DRAIN_BOUND {
-                    return trace.lines;
-                }
-                seen.push(s);
-                if !m.drain_step(&mut trace) {
-                    return trace.lines;
-                }
-            }
-        }
-    }
+    max_ops: u32,
+    abort: &dyn Fn() -> bool,
+) -> Option<(Vec<Op>, PropViolation)> {
+    first_flagged(&op_universe(cfg), max_ops, abort, |ops| {
+        check_props_sequence::<M>(cfg, mshrs, set, ops).err()
+    })
 }
 
 /// Minimizes a property-violating sequence and packages it as a replayable
-/// counterexample. `fallback` covers the (unreachable in practice) case
-/// where re-checking the minimized sequence stops violating.
-pub(crate) fn prop_counterexample(
+/// counterexample. Minimization preserves "violates the set with the same
+/// liveness class" — a safety witness stays a safety witness, so the
+/// minimized counterexample replays the same kind of failure. `fallback`
+/// covers the (unreachable in practice) case where re-checking the
+/// sequence stops violating.
+pub(crate) fn prop_counterexample<M: SimMachine>(
     cfg: &MachineConfig,
     mshrs: Option<usize>,
     set: &PropSet,
     ops: &[Op],
     fallback: &PropViolation,
 ) -> (PropViolation, Box<Counterexample>) {
-    let can_minimize = {
-        let r = match mshrs {
-            None => check_props_sequence(cfg, set, ops),
-            Some(m) => check_props_sequence_nonblocking(cfg, m, set, ops),
-        };
-        matches!(&r, Err(v) if v.liveness == fallback.liveness)
+    let same_class = |ops: &[Op]| {
+        check_props_sequence::<M>(cfg, mshrs, set, ops)
+            .err()
+            .filter(|v| v.liveness == fallback.liveness)
     };
-    let ops = if can_minimize {
-        minimize_props(cfg, mshrs, set, ops, fallback.liveness)
+    let ops = if same_class(ops).is_some() {
+        minimize(ops, same_class).0
     } else {
         ops.to_vec()
     };
-    let violation = match mshrs {
-        None => check_props_sequence(cfg, set, &ops).err(),
-        Some(m) => check_props_sequence_nonblocking(cfg, m, set, &ops).err(),
-    }
-    .unwrap_or_else(|| fallback.clone());
-    let trace = prop_trace(cfg, mshrs, &ops);
+    let violation = check_props_sequence::<M>(cfg, mshrs, set, &ops)
+        .err()
+        .unwrap_or_else(|| fallback.clone());
     let ce = Box::new(Counterexample {
         config: cfg.clone(),
         mshrs,
+        trace: replay_trace::<M>(cfg, mshrs, &ops),
         ops,
         violation: violation.render(),
-        trace,
     });
     (violation, ce)
 }
@@ -655,6 +434,7 @@ pub(crate) fn prop_counterexample(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wbsim_sim::{Machine, NonBlockingMachine};
     use wbsim_types::divergence::FaultInjection;
     use wbsim_types::policy::{LoadHazardPolicy, RetirementPolicy};
     use wbsim_types::testutil::a;
@@ -697,7 +477,10 @@ mod tests {
         // Non-blocking env: the two `where machine = blocking` properties
         // are skipped with a reason naming the clause.
         let cfg = cfg_with(2, 2, LoadHazardPolicy::ReadFromWb, None);
-        let (mons, skipped) = compile(&set, &PropEnv::nonblocking(&cfg, 2));
+        let (mons, skipped) = compile(
+            &set,
+            &PropEnv::machine(MachineKind::NonBlocking, &cfg, Some(2)),
+        );
         assert_eq!(mons.props().len(), 4);
         let names: Vec<&str> = skipped.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, ["stall-exclusive", "no-stale-forward"]);
@@ -710,7 +493,7 @@ mod tests {
     }
 
     #[test]
-    fn clean_machine_satisfies_the_library_on_sample_sequences() {
+    fn healthy_machines_satisfy_the_library_on_sample_sequences() {
         let set = builtin_library();
         for hazard in LoadHazardPolicy::ALL {
             let cfg = cfg_with(2, 1, hazard, None);
@@ -725,8 +508,18 @@ mod tests {
                     Op::Load(a(1, 1)),
                 ],
             ] {
-                check_props_sequence(&cfg, &set, &ops)
+                check_props_sequence::<Machine>(&cfg, None, &set, &ops)
                     .unwrap_or_else(|v| panic!("{hazard:?} {ops:?}: {}", v.render()));
+            }
+        }
+        let cfg = cfg_with(2, 1, LoadHazardPolicy::ReadFromWb, None);
+        for mshrs in 1..=2 {
+            for ops in [
+                vec![Op::Store(a(0, 0)), Op::Load(a(0, 0))],
+                vec![Op::Load(a(0, 0)), Op::Store(a(0, 0)), Op::Load(a(1, 0))],
+            ] {
+                check_props_sequence::<NonBlockingMachine>(&cfg, Some(mshrs), &set, &ops)
+                    .unwrap_or_else(|v| panic!("mshrs={mshrs} {ops:?}: {}", v.render()));
             }
         }
     }
@@ -740,7 +533,7 @@ mod tests {
             LoadHazardPolicy::FlushFull,
             Some(FaultInjection::StarveRetirement),
         );
-        let v = check_props_sequence(&cfg, &set, &[Op::Store(a(0, 0))])
+        let v = check_props_sequence::<Machine>(&cfg, None, &set, &[Op::Store(a(0, 0))])
             .expect_err("a starved buffer never discharges eventual-drain");
         assert!(v.liveness);
         assert_eq!(v.property, "eventual-drain");
@@ -759,13 +552,14 @@ mod tests {
             Some(FaultInjection::SkipWbForwarding),
         );
         let ops = [Op::Store(a(0, 0)), Op::Load(a(0, 0))];
-        let v = check_props_sequence(&cfg, &set, &ops).expect_err("unmerged fill in the window");
+        let v = check_props_sequence::<Machine>(&cfg, None, &set, &ops)
+            .expect_err("unmerged fill in the window");
         assert!(!v.liveness);
         assert_eq!(v.property, "no-stale-forward");
         assert_eq!(v.diagnostic().code, "PRP100");
         // The clean machine is fine on the same sequence.
         let clean = cfg_with(2, 2, LoadHazardPolicy::ReadFromWb, None);
-        check_props_sequence(&clean, &set, &ops).expect("clean forwarding");
+        check_props_sequence::<Machine>(&clean, None, &set, &ops).expect("clean forwarding");
     }
 
     #[test]
@@ -777,10 +571,10 @@ mod tests {
             LoadHazardPolicy::FlushFull,
             Some(FaultInjection::StarveRetirement),
         );
-        let (ops, v) =
-            first_prop_violation(&cfg, &set, 2, &|| false).expect("starvation is caught");
+        let (ops, v) = first_prop_violation::<Machine>(&cfg, None, &set, 2, &|| false)
+            .expect("starvation is caught");
         assert_eq!(ops.len(), 1, "odometer order finds the 1-op witness first");
-        let (v2, ce) = prop_counterexample(&cfg, None, &set, &ops, &v);
+        let (v2, ce) = prop_counterexample::<Machine>(&cfg, None, &set, &ops, &v);
         assert_eq!(v2.property, "eventual-drain");
         assert_eq!(ce.ops.len(), 1);
         assert!(
@@ -791,25 +585,10 @@ mod tests {
     }
 
     #[test]
-    fn nonblocking_driver_is_clean_on_the_healthy_machine() {
-        let set = builtin_library();
-        let cfg = cfg_with(2, 1, LoadHazardPolicy::ReadFromWb, None);
-        for mshrs in 1..=2 {
-            for ops in [
-                vec![Op::Store(a(0, 0)), Op::Load(a(0, 0))],
-                vec![Op::Load(a(0, 0)), Op::Store(a(0, 0)), Op::Load(a(1, 0))],
-            ] {
-                check_props_sequence_nonblocking(&cfg, mshrs, &set, &ops)
-                    .unwrap_or_else(|v| panic!("mshrs={mshrs} {ops:?}: {}", v.render()));
-            }
-        }
-    }
-
-    #[test]
     fn trace_runner_flags_pending_obligations_at_end_of_stream() {
         let set = builtin_library();
         let cfg = cfg_with(2, 1, LoadHazardPolicy::ReadFromWb, None);
-        let (mons, _) = compile(&set, &PropEnv::blocking(&cfg));
+        let (mons, _) = compile(&set, &PropEnv::machine(MachineKind::Blocking, &cfg, None));
         let mut runner = PropRunner::new(mons);
         runner.event(&Event::StoreAccepted {
             now: 1,

@@ -23,28 +23,26 @@
 //! therefore `min` over the two paired permutations (identity, swapped) —
 //! see `abstract_state::abstract_both` and [`Monitors::key`].
 
-use std::collections::{HashMap, VecDeque};
-use std::time::Instant;
+use std::collections::HashMap;
 
-use wbsim_sim::{Event, Machine, MachineSnapshot, NonBlockingMachine, Observer};
+use wbsim_sim::{
+    Event, Machine, MachineKind, MachineSnapshot, NonBlockingMachine, Observer, SimMachine,
+};
 use wbsim_types::addr::{Geometry, LineAddr};
 use wbsim_types::config::MachineConfig;
-use wbsim_types::divergence::FaultInjection;
-use wbsim_types::json;
 use wbsim_types::op::Op;
 
 use crate::abstract_state::{abstract_both, AbsState, ShadowTracker};
-use crate::bounded::{
-    bounded_configs, default_jobs, nonblocking_configs, op_universe, run_indexed_earliest,
-};
+use crate::bounded::op_universe;
+use crate::grid::{Bfs, CheckGrid, CheckReport};
 use crate::prop::{
     compile, pending_violation_of, prop_counterexample, violation_of, PropEnv, PropViolation,
 };
 use crate::prop_automaton::{MonKey, MonViolation, Monitors};
 use crate::prop_parse::PropSet;
 use crate::reach::{
-    gate, rch_diagnostic, universe_lines, GateReject, ReachViolation, DRAIN_WALK_BOUND,
-    OP_CYCLE_BUDGET, STALL_PROBE_WINDOW,
+    gate, gate_diagnostic, probe_window, universe_lines, ReachViolation, DRAIN_WALK_BOUND,
+    OP_CYCLE_BUDGET,
 };
 
 /// Per-configuration product statistics.
@@ -99,135 +97,28 @@ fn joint_key(
     std::cmp::min((a, ka), (b, kb))
 }
 
-/// The two machines, seen through what the product needs. `impl Observer`
-/// arguments keep the machines' generic observer plumbing monomorphized.
-trait ProductMachine: Clone {
-    fn snap(&self, lines: &[LineAddr]) -> MachineSnapshot;
-    fn run_op_obs(&mut self, op: Op, obs: &mut impl Observer) -> bool;
-    fn step_obs(&mut self, obs: &mut impl Observer) -> bool;
-    fn drain_step_obs(&mut self, obs: &mut impl Observer) -> bool;
-}
-
-impl ProductMachine for Machine {
-    fn snap(&self, lines: &[LineAddr]) -> MachineSnapshot {
-        self.snapshot(lines)
-    }
-    fn run_op_obs(&mut self, op: Op, obs: &mut impl Observer) -> bool {
-        self.run_op_bounded(op, OP_CYCLE_BUDGET, obs).is_some()
-    }
-    fn step_obs(&mut self, obs: &mut impl Observer) -> bool {
-        self.step(&mut std::iter::empty::<Op>(), obs)
-    }
-    fn drain_step_obs(&mut self, obs: &mut impl Observer) -> bool {
-        self.drain_step(obs)
-    }
-}
-
-impl ProductMachine for NonBlockingMachine {
-    fn snap(&self, lines: &[LineAddr]) -> MachineSnapshot {
-        self.snapshot(lines)
-    }
-    fn run_op_obs(&mut self, op: Op, obs: &mut impl Observer) -> bool {
-        self.run_op_bounded(op, OP_CYCLE_BUDGET, obs).is_some()
-    }
-    fn step_obs(&mut self, obs: &mut impl Observer) -> bool {
-        self.step(&mut std::iter::empty::<Op>(), obs)
-    }
-    fn drain_step_obs(&mut self, obs: &mut impl Observer) -> bool {
-        self.drain_step(obs)
-    }
-}
-
 /// Steps the monitors on every event and maintains the shadow map (the
 /// abstraction needs it; the reach checker's own invariants are *not*
-/// re-checked here — that is [`crate::check_reach`]'s job).
+/// re-checked here — that is [`crate::check_reach`]'s job). Drain walks
+/// pass no shadow: no stores occur during a drain.
 struct ProductObserver<'a> {
     g: Geometry,
-    shadow: &'a mut ShadowTracker,
+    shadow: Option<&'a mut ShadowTracker>,
     mons: &'a mut Monitors,
-    violation: &'a mut Option<MonViolation>,
+    violation: Option<MonViolation>,
 }
 
 impl Observer for ProductObserver<'_> {
     fn event(&mut self, ev: &Event) {
-        if let Event::StoreAccepted { addr, .. } = *ev {
-            self.shadow.record_store(self.g.word_addr(addr));
+        if let (Event::StoreAccepted { addr, .. }, Some(shadow)) = (ev, self.shadow.as_mut()) {
+            shadow.record_store(self.g.word_addr(*addr));
         }
         if let Some(v) = self.mons.step(ev) {
             if self.violation.is_none() {
-                *self.violation = Some(v);
+                self.violation = Some(v);
             }
         }
     }
-}
-
-/// Monitor stepping only (drain walks: no stores can occur).
-struct MonStep<'a> {
-    mons: &'a mut Monitors,
-    violation: &'a mut Option<MonViolation>,
-}
-
-impl Observer for MonStep<'_> {
-    fn event(&mut self, ev: &Event) {
-        if let Some(v) = self.mons.step(ev) {
-            if self.violation.is_none() {
-                *self.violation = Some(v);
-            }
-        }
-    }
-}
-
-/// A BFS node: concrete representative (dropped once expanded), shadow
-/// map, and the monitor bundle as of this state.
-struct PNode<M> {
-    machine: Option<M>,
-    shadow: ShadowTracker,
-    mons: Monitors,
-    parent: Option<(usize, Op)>,
-}
-
-fn path_ops<M>(nodes: &[PNode<M>], idx: usize, last: Option<Op>) -> Vec<Op> {
-    let mut ops = Vec::new();
-    let mut i = idx;
-    while let Some((p, op)) = nodes[i].parent {
-        ops.push(op);
-        i = p;
-    }
-    ops.reverse();
-    ops.extend(last);
-    ops
-}
-
-fn gate_violation(reject: &GateReject) -> Box<ReachViolation> {
-    Box::new(ReachViolation {
-        diagnostic: rch_diagnostic(
-            "RCH003",
-            &reject.field,
-            format!(
-                "configuration is outside the abstractable class: {}",
-                reject.why
-            ),
-        )
-        .with_suggestion(reject.suggestion.clone()),
-        counterexample: None,
-    })
-}
-
-/// Packages a property violation witnessed by `ops` as a reach-style
-/// violation: minimized, with a replayable trace, diagnosed `PRP100` or
-/// `PRP101`.
-fn prop_reach_violation(
-    cfg: &MachineConfig,
-    mshrs: Option<usize>,
-    set: &PropSet,
-    ops: &[Op],
-    fallback: &PropViolation,
-) -> Box<ReachViolation> {
-    let (violation, ce) = prop_counterexample(cfg, mshrs, set, ops, fallback);
-    Box::new(ReachViolation {
-        diagnostic: violation.diagnostic(),
-        counterexample: Some(ce),
-    })
 }
 
 /// Walks the fair drain schedule from `m` under the monitors. Returns the
@@ -237,7 +128,7 @@ fn prop_reach_violation(
 /// it). Clean and liveness verdicts are memoized by joint key; the walk
 /// is deterministic and both halves of the key are canonical under the
 /// same renaming, so the verdict is path-independent.
-fn drain_walk<M: ProductMachine>(
+fn drain_walk<M: SimMachine>(
     m: &M,
     mons: &Monitors,
     g: &Geometry,
@@ -249,7 +140,7 @@ fn drain_walk<M: ProductMachine>(
     let mut mons = mons.clone();
     let mut path: Vec<JointKey> = Vec::new();
     let verdict = loop {
-        let key = joint_key(g, &m.snap(lines.as_slice()), shadow, &mons);
+        let key = joint_key(g, &m.snapshot(lines.as_slice()), shadow, &mons);
         if let Some(v) = memo.get(&key) {
             break v.clone();
         }
@@ -257,15 +148,14 @@ fn drain_walk<M: ProductMachine>(
             break pending_violation_of(&mons);
         }
         path.push(key);
-        let mut mviol: Option<MonViolation> = None;
-        let stepped = {
-            let mut obs = MonStep {
-                mons: &mut mons,
-                violation: &mut mviol,
-            };
-            m.drain_step_obs(&mut obs)
+        let mut obs = ProductObserver {
+            g: *g,
+            shadow: None,
+            mons: &mut mons,
+            violation: None,
         };
-        if let Some(v) = mviol {
+        let stepped = m.drain_step(&mut obs);
+        if let Some(v) = obs.violation {
             // A safety event mid-drain. Its detail is position-specific,
             // so return without memoizing the path.
             return Some(violation_of(&mons, &v));
@@ -280,175 +170,104 @@ fn drain_walk<M: ProductMachine>(
     verdict
 }
 
-/// Explores the product of one configuration's abstract state graph with
-/// the monitor automata, to closure. `cfg` has passed the gate and has
-/// `check_data` already cleared; `m0` is its initial machine. Returns
-/// `Ok(None)` only when `abort` fired.
-fn explore_props<M: ProductMachine>(
+/// Explores the product of one design point's abstract state graph with
+/// the monitor automata, to closure, on machine `M`. Returns `Ok(None)`
+/// only when `abort` fired.
+fn explore_props<M: SimMachine>(
     cfg: &MachineConfig,
-    m0: M,
-    mons0: Monitors,
     mshrs: Option<usize>,
     set: &PropSet,
     abort: &dyn Fn() -> bool,
 ) -> Result<Option<PropConfigStats>, Box<ReachViolation>> {
+    gate(cfg).map_err(|reject| {
+        Box::new(ReachViolation {
+            diagnostic: gate_diagnostic(reject),
+            counterexample: None,
+        })
+    })?;
+    let mut cfg = cfg.clone();
+    cfg.check_data = false;
+    let (mons0, _) = compile(set, &PropEnv::machine(M::KIND, &cfg, mshrs));
+    if mons0.is_empty() {
+        return Ok(Some(PropConfigStats::default()));
+    }
+    let cfg = &cfg;
+    // Packages a property violation witnessed by `ops` as a reach-style
+    // violation: minimized, with a replayable trace, diagnosed `PRP100`
+    // or `PRP101`.
+    let violation = |ops: &[Op], fallback: &PropViolation| {
+        let (violation, ce) = prop_counterexample::<M>(cfg, mshrs, set, ops, fallback);
+        Box::new(ReachViolation {
+            diagnostic: violation.diagnostic(),
+            counterexample: Some(ce),
+        })
+    };
     let g = cfg.geometry;
     let lines = universe_lines(cfg);
     let universe = op_universe(cfg);
+    let m0 = M::build(cfg.clone(), mshrs).expect("grid configs are valid");
     let shadow0 = ShadowTracker::default();
     let mut drain_memo: HashMap<JointKey, Option<PropViolation>> = HashMap::new();
     if let Some(pv) = drain_walk(&m0, &mons0, &g, &lines, &shadow0, &mut drain_memo) {
-        return Err(prop_reach_violation(cfg, mshrs, set, &[], &pv));
+        return Err(violation(&[], &pv));
     }
-    let s0 = joint_key(&g, &m0.snap(&lines), &shadow0, &mons0);
-    let mut nodes = vec![PNode {
-        machine: Some(m0),
-        shadow: shadow0,
-        mons: mons0,
-        parent: None,
-    }];
-    let mut visited: HashMap<JointKey, usize> = HashMap::from([(s0, 0)]);
-    let mut queue: VecDeque<usize> = VecDeque::from([0]);
+    let s0 = joint_key(&g, &m0.snapshot(&lines), &shadow0, &mons0);
+    // A node: its concrete representative, shadow map, and monitor state.
+    let mut bfs = Bfs::new(s0, (m0, shadow0, mons0));
     let mut edges: u64 = 0;
 
-    while let Some(idx) = queue.pop_front() {
+    while let Some((idx, (machine, node_shadow, node_mons))) = bfs.pop() {
         if abort() {
             return Ok(None);
         }
-        let machine = nodes[idx].machine.take().expect("nodes expand once");
         for &op in &universe {
             let mut m = machine.clone();
-            let mut shadow = nodes[idx].shadow.clone();
-            let mut mons = nodes[idx].mons.clone();
-            let mut mviol: Option<MonViolation> = None;
-            let completed = {
-                let mut obs = ProductObserver {
-                    g,
-                    shadow: &mut shadow,
-                    mons: &mut mons,
-                    violation: &mut mviol,
-                };
-                m.run_op_obs(op, &mut obs)
+            let mut shadow = node_shadow.clone();
+            let mut mons = node_mons.clone();
+            let mut obs = ProductObserver {
+                g,
+                shadow: Some(&mut shadow),
+                mons: &mut mons,
+                violation: None,
             };
-            if let Some(v) = mviol.take() {
-                let pv = violation_of(&mons, &v);
-                return Err(prop_reach_violation(
-                    cfg,
-                    mshrs,
-                    set,
-                    &path_ops(&nodes, idx, Some(op)),
-                    &pv,
-                ));
-            }
-            if !completed {
+            let completed = m.run_op_bounded(op, OP_CYCLE_BUDGET, &mut obs).is_some();
+            if !completed && obs.violation.is_none() {
                 // The op wedged. Monitors keep watching through the probe
                 // window; if an obligation is still pending afterwards,
                 // this (stuck) branch can never discharge it. A wedge with
                 // no pending obligation is not a *property* failure — the
                 // reach checker diagnoses the livelock itself.
-                {
-                    let mut obs = ProductObserver {
-                        g,
-                        shadow: &mut shadow,
-                        mons: &mut mons,
-                        violation: &mut mviol,
-                    };
-                    for _ in 0..STALL_PROBE_WINDOW {
-                        if !m.step_obs(&mut obs) {
-                            break;
-                        }
-                    }
-                }
-                if let Some(v) = mviol.take() {
-                    let pv = violation_of(&mons, &v);
-                    return Err(prop_reach_violation(
-                        cfg,
-                        mshrs,
-                        set,
-                        &path_ops(&nodes, idx, Some(op)),
-                        &pv,
-                    ));
-                }
+                probe_window(&mut m, &mut obs);
+            }
+            if let Some(v) = obs.violation {
+                let pv = violation_of(&mons, &v);
+                return Err(violation(&bfs.path(idx, op), &pv));
+            }
+            if !completed {
                 if let Some(pv) = pending_violation_of(&mons) {
-                    return Err(prop_reach_violation(
-                        cfg,
-                        mshrs,
-                        set,
-                        &path_ops(&nodes, idx, Some(op)),
-                        &pv,
-                    ));
+                    return Err(violation(&bfs.path(idx, op), &pv));
                 }
                 continue;
             }
             edges += 1;
-            let key = joint_key(&g, &m.snap(&lines), &shadow, &mons);
-            if visited.contains_key(&key) {
+            let key = joint_key(&g, &m.snapshot(&lines), &shadow, &mons);
+            if bfs.seen(&key) {
                 continue;
             }
             if let Some(pv) = drain_walk(&m, &mons, &g, &lines, &shadow, &mut drain_memo) {
-                return Err(prop_reach_violation(
-                    cfg,
-                    mshrs,
-                    set,
-                    &path_ops(&nodes, idx, Some(op)),
-                    &pv,
-                ));
+                return Err(violation(&bfs.path(idx, op), &pv));
             }
-            visited.insert(key, nodes.len());
-            queue.push_back(nodes.len());
-            nodes.push(PNode {
-                machine: Some(m),
-                shadow,
-                mons,
-                parent: Some((idx, op)),
-            });
+            bfs.push(key, idx, op, (m, shadow, mons));
         }
     }
     Ok(Some(PropConfigStats {
-        states: nodes.len() as u64,
+        states: bfs.states(),
         edges,
     }))
 }
 
-fn explore_props_config(
-    cfg: &MachineConfig,
-    set: &PropSet,
-    abort: &dyn Fn() -> bool,
-) -> Result<Option<PropConfigStats>, Box<ReachViolation>> {
-    if let Err(reject) = gate(cfg) {
-        return Err(gate_violation(&reject));
-    }
-    let mut cfg = cfg.clone();
-    cfg.check_data = false;
-    let (mons, _) = compile(set, &PropEnv::blocking(&cfg));
-    if mons.is_empty() {
-        return Ok(Some(PropConfigStats::default()));
-    }
-    let m0 = Machine::new(cfg.clone()).expect("grid configs are valid");
-    explore_props(&cfg, m0, mons, None, set, abort)
-}
-
-fn explore_props_config_nonblocking(
-    cfg: &MachineConfig,
-    mshrs: usize,
-    set: &PropSet,
-    abort: &dyn Fn() -> bool,
-) -> Result<Option<PropConfigStats>, Box<ReachViolation>> {
-    if let Err(reject) = gate(cfg) {
-        return Err(gate_violation(&reject));
-    }
-    let mut cfg = cfg.clone();
-    cfg.check_data = false;
-    let (mons, _) = compile(set, &PropEnv::nonblocking(&cfg, mshrs));
-    if mons.is_empty() {
-        return Ok(Some(PropConfigStats::default()));
-    }
-    let m0 = NonBlockingMachine::new(cfg.clone(), mshrs).expect("grid configs are valid");
-    explore_props(&cfg, m0, mons, Some(mshrs), set, abort)
-}
-
-/// Verifies a property set unboundedly over one blocking configuration:
-/// every property holds on *every* op sequence, of any length, or a
+/// Verifies a property set unboundedly over one design point on machine
+/// `M`: every property holds on *every* op sequence, of any length, or a
 /// minimized counterexample comes back.
 ///
 /// # Errors
@@ -458,140 +277,62 @@ fn explore_props_config_nonblocking(
 ///
 /// # Panics
 ///
-/// Panics if `cfg` fails [`MachineConfig::validate`].
-pub fn check_props_reach_config(
+/// Panics if `M::build` rejects `cfg`/`mshrs`.
+pub fn check_props_reach_point<M: SimMachine>(
     cfg: &MachineConfig,
+    mshrs: Option<usize>,
     set: &PropSet,
 ) -> Result<PropConfigStats, Box<ReachViolation>> {
-    Ok(explore_props_config(cfg, set, &|| false)?.expect("no abort requested"))
+    Ok(explore_props::<M>(cfg, mshrs, set, &|| false)?.expect("no abort requested"))
 }
 
-/// [`check_props_reach_config`] for the non-blocking machine.
+/// Verifies a property set over every point of `grid` with `jobs` worker
+/// threads; like the other grid checkers the result is identical for
+/// every `jobs` value (only `wall_ms` varies).
 ///
 /// # Errors
 ///
-/// [`ReachViolation`] as for [`check_props_reach_config`].
-///
-/// # Panics
-///
-/// Panics if `cfg`/`mshrs` are rejected by
-/// [`wbsim_sim::NonBlockingMachine::new`].
-pub fn check_props_reach_config_nonblocking(
-    cfg: &MachineConfig,
-    mshrs: usize,
-    set: &PropSet,
-) -> Result<PropConfigStats, Box<ReachViolation>> {
-    Ok(explore_props_config_nonblocking(cfg, mshrs, set, &|| false)?.expect("no abort requested"))
-}
-
-/// Verifies a property set over the whole bounded configuration grid
-/// (the same 40 configurations as [`crate::check_reach`]) with
-/// [`default_jobs`] worker threads.
-///
-/// # Errors
-///
-/// The first violating configuration's [`ReachViolation`], in
-/// configuration order.
+/// The first violating point's [`ReachViolation`], in grid order.
 pub fn check_props_reach(
+    grid: &CheckGrid,
     set: &PropSet,
-    fault: Option<FaultInjection>,
-) -> Result<PropReport, Box<ReachViolation>> {
-    check_props_reach_jobs(set, fault, default_jobs())
-}
-
-/// [`check_props_reach`] with an explicit worker-thread count; like the
-/// other grid drivers the result is identical for every `jobs` value
-/// (only `wall_ms` varies).
-///
-/// # Errors
-///
-/// The first violating configuration's [`ReachViolation`], in
-/// configuration order.
-pub fn check_props_reach_jobs(
-    set: &PropSet,
-    fault: Option<FaultInjection>,
     jobs: usize,
 ) -> Result<PropReport, Box<ReachViolation>> {
-    let start = Instant::now();
-    let configs = bounded_configs(fault);
-    match run_indexed_earliest(configs.len(), jobs, |i, abort| {
-        explore_props_config(&configs[i], set, abort)
-    }) {
-        Err((_, violation)) => Err(violation),
-        Ok(results) => Ok(sum_report(set, configs.len(), results, start)),
-    }
-}
-
-/// [`check_props_reach`] over the non-blocking grid
-/// ([`crate::nonblocking_configs`]).
-///
-/// # Errors
-///
-/// The first violating configuration's [`ReachViolation`], in
-/// configuration order.
-pub fn check_props_reach_nonblocking(
-    set: &PropSet,
-    fault: Option<FaultInjection>,
-    mshrs: Option<usize>,
-) -> Result<PropReport, Box<ReachViolation>> {
-    check_props_reach_nonblocking_jobs(set, fault, mshrs, default_jobs())
-}
-
-/// [`check_props_reach_nonblocking`] with an explicit worker-thread
-/// count.
-///
-/// # Errors
-///
-/// The first violating configuration's [`ReachViolation`], in
-/// configuration order.
-pub fn check_props_reach_nonblocking_jobs(
-    set: &PropSet,
-    fault: Option<FaultInjection>,
-    mshrs: Option<usize>,
-    jobs: usize,
-) -> Result<PropReport, Box<ReachViolation>> {
-    let start = Instant::now();
-    let configs = nonblocking_configs(fault, mshrs);
-    match run_indexed_earliest(configs.len(), jobs, |i, abort| {
-        let (cfg, m) = &configs[i];
-        explore_props_config_nonblocking(cfg, *m, set, abort)
-    }) {
-        Err((_, violation)) => Err(violation),
-        Ok(results) => Ok(sum_report(set, configs.len(), results, start)),
-    }
-}
-
-fn sum_report(
-    set: &PropSet,
-    configs: usize,
-    results: Vec<Option<PropConfigStats>>,
-    start: Instant,
-) -> PropReport {
-    let mut report = PropReport {
+    let report = match grid.kind() {
+        MachineKind::Blocking => props_grid::<Machine>(grid, set, jobs),
+        MachineKind::NonBlocking => props_grid::<NonBlockingMachine>(grid, set, jobs),
+    }?;
+    Ok(PropReport {
         properties: set.props.len() as u64,
-        configs: configs as u64,
-        ..PropReport::default()
-    };
-    for stats in results.into_iter().flatten() {
-        report.states_explored += stats.states;
-        report.edges += stats.edges;
-    }
-    report.wall_ms = u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX);
-    report
+        configs: report.configs,
+        states_explored: report.states_explored,
+        edges: report.edges,
+        wall_ms: report.wall_ms,
+    })
 }
 
-/// Keeps `json` imported for the doc-visible invariant that reports use
-/// the shared escaping rules (no string fields today).
-#[allow(dead_code)]
-fn _escape_anchor(s: &str) -> String {
-    json::escape(s)
+fn props_grid<M: SimMachine>(
+    grid: &CheckGrid,
+    set: &PropSet,
+    jobs: usize,
+) -> Result<CheckReport, Box<ReachViolation>> {
+    grid.run(jobs, |cfg, mshrs, abort| {
+        let stats = explore_props::<M>(cfg, mshrs, set, abort)?.unwrap_or_default();
+        Ok([stats.states, stats.edges, 0])
+    })
+    .map_err(|(_, v)| v)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::prop::builtin_library;
+    use wbsim_types::divergence::FaultInjection;
     use wbsim_types::policy::{LoadHazardPolicy, RetirementPolicy};
+
+    fn blocking_grid(fault: FaultInjection) -> CheckGrid {
+        CheckGrid::new(MachineKind::Blocking, Some(fault), None).expect("full grid")
+    }
 
     fn grid_cfg(depth: usize, hw: usize, hazard: LoadHazardPolicy) -> MachineConfig {
         let mut cfg = MachineConfig::baseline();
@@ -606,7 +347,7 @@ mod tests {
     fn library_is_clean_on_a_sample_config_unboundedly() {
         let set = builtin_library();
         let cfg = grid_cfg(2, 1, LoadHazardPolicy::ReadFromWb);
-        let stats = check_props_reach_config(&cfg, &set).expect("library holds");
+        let stats = check_props_reach_point::<Machine>(&cfg, None, &set).expect("library holds");
         assert!(stats.states > 1);
         assert!(stats.edges >= stats.states - 1);
     }
@@ -614,19 +355,19 @@ mod tests {
     #[test]
     fn library_is_clean_on_both_grids() {
         let set = builtin_library();
-        let report = check_props_reach(&set, None).expect("library holds on the blocking grid");
-        assert_eq!(report.configs, 40);
-        assert_eq!(report.properties, 6);
-        assert!(report.states_explored > 0);
-        let report = check_props_reach_nonblocking(&set, None, None)
-            .expect("library holds on the non-blocking grid");
-        assert_eq!(report.configs, 40);
+        for kind in MachineKind::ALL {
+            let grid = CheckGrid::new(kind, None, None).expect("full grid");
+            let report = check_props_reach(&grid, &set, 2).expect("library holds");
+            assert_eq!(report.configs, 40, "{kind:?}");
+            assert_eq!(report.properties, 6);
+            assert!(report.states_explored > 0);
+        }
     }
 
     #[test]
     fn starved_retirement_is_caught_by_eventual_drain() {
         let set = builtin_library();
-        let v = check_props_reach(&set, Some(FaultInjection::StarveRetirement))
+        let v = check_props_reach(&blocking_grid(FaultInjection::StarveRetirement), &set, 2)
             .expect_err("a starved buffer cannot drain");
         assert_eq!(v.diagnostic.code, "PRP101");
         assert!(v.diagnostic.message.contains("eventual-drain"));
@@ -640,7 +381,7 @@ mod tests {
     #[test]
     fn skipped_forwarding_is_caught_by_no_stale_forward() {
         let set = builtin_library();
-        let v = check_props_reach(&set, Some(FaultInjection::SkipWbForwarding))
+        let v = check_props_reach(&blocking_grid(FaultInjection::SkipWbForwarding), &set, 2)
             .expect_err("stale fills violate the forwarding window");
         assert_eq!(v.diagnostic.code, "PRP100");
         assert!(v.diagnostic.message.contains("no-stale-forward"));
@@ -655,7 +396,8 @@ mod tests {
     fn empty_property_set_is_trivially_clean() {
         let set = PropSet::default();
         let cfg = grid_cfg(1, 1, LoadHazardPolicy::FlushFull);
-        let stats = check_props_reach_config(&cfg, &set).expect("nothing to violate");
+        let stats =
+            check_props_reach_point::<Machine>(&cfg, None, &set).expect("nothing to violate");
         assert_eq!(stats, PropConfigStats::default());
     }
 
@@ -664,7 +406,8 @@ mod tests {
         let set = builtin_library();
         let mut cfg = grid_cfg(2, 1, LoadHazardPolicy::ReadFromWb);
         cfg.write_buffer.order = wbsim_types::policy::RetirementOrder::Lru;
-        let v = check_props_reach_config(&cfg, &set).expect_err("LRU is outside the class");
+        let v = check_props_reach_point::<Machine>(&cfg, None, &set)
+            .expect_err("LRU is outside the class");
         assert_eq!(v.diagnostic.code, "RCH003");
     }
 }

@@ -16,7 +16,7 @@
 //! bounded checker cannot express at all: from every reachable state it
 //! walks the *drain graph* — the deterministic fair schedule in which
 //! retirement runs at the maximum rate and no new ops issue
-//! ([`wbsim_sim::Machine::drain_step`]). The drain graph is functional
+//! ([`SimMachine::drain_step`]). The drain graph is functional
 //! (at most one successor per state), so its strongly connected components
 //! are its simple cycles plus singletons; any cycle is, by construction, a
 //! set of states with buffered entries that never retire under even the
@@ -31,10 +31,12 @@
 //! class — the time-shift quotient is only sound when no policy consults
 //! absolute time).
 
-use std::collections::{HashMap, VecDeque};
-use std::time::Instant;
+use std::collections::HashMap;
 
-use wbsim_sim::{Event, Machine, MachineSnapshot, NonBlockingMachine, NullObserver, Observer};
+use wbsim_sim::{
+    Event, Machine, MachineKind, MachineSnapshot, NonBlockingMachine, NullObserver, Observer,
+    SimMachine,
+};
 use wbsim_types::addr::{Addr, Geometry, LineAddr};
 use wbsim_types::config::{IcacheConfig, L2Config, MachineConfig};
 use wbsim_types::diagnostics::{Diagnostic, Severity};
@@ -44,10 +46,10 @@ use wbsim_types::policy::{L1WritePolicy, RetirementOrder, RetirementPolicy};
 
 use crate::abstract_state::{canonical_state, AbsState, ShadowTracker};
 use crate::bounded::{
-    bounded_configs, check_sequence, check_sequence_nonblocking, counterexample,
-    counterexample_nonblocking, default_jobs, nonblocking_configs, op_universe,
-    run_indexed_earliest, CheckReport, Counterexample, TraceObserver,
+    check_sequence, counterexample, fifo_violation, op_universe, sequence_trace, Counterexample,
+    StallRule, TraceObserver,
 };
+use crate::grid::{minimize, Bfs, CheckGrid, CheckReport};
 
 /// Cycle budget for one op during expansion. Every legitimate op in the
 /// gated configuration class completes in well under 100 cycles (worst
@@ -180,81 +182,58 @@ pub(crate) fn gate(cfg: &MachineConfig) -> Result<(), GateReject> {
     Ok(())
 }
 
+/// The `RCH003` diagnostic for a configuration [`gate`] rejects, shared
+/// by every state-graph checker.
+pub(crate) fn gate_diagnostic(reject: GateReject) -> Diagnostic {
+    rch_diagnostic(
+        "RCH003",
+        &reject.field,
+        format!(
+            "configuration is outside the abstractable class: {}",
+            reject.why
+        ),
+    )
+    .with_suggestion(reject.suggestion)
+}
+
 /// Checks the per-event invariants during one transition and maintains the
-/// shadow map. Mirrors the bounded checker's `InvariantObserver`, but with
-/// the FIFO cursor carried across transitions by the caller. With
-/// `overlap` set (the non-blocking machine) the stall taxonomy is
-/// exclusive per *cause* instead of per cycle: a buffer-full store and an
-/// overlapped L2-read-access charge may share a cycle, but no cause
-/// repeats and no other cause occurs.
+/// shadow map. Mirrors the bounded checker's invariant observer, but with
+/// the FIFO cursor carried across transitions by the caller.
 struct TransObserver<'a> {
     g: Geometry,
     depth: u64,
     overlap: bool,
     shadow: &'a mut ShadowTracker,
     last_retire_id: &'a mut Option<u64>,
-    last_stall_now: Option<u64>,
-    stall_kinds: Vec<wbsim_types::stall::StallKind>,
-    progress: bool,
+    stalls: StallRule,
     violation: Option<String>,
 }
 
 impl TransObserver<'_> {
-    fn fail(&mut self, msg: String) {
+    fn fail(&mut self, msg: Option<String>) {
         if self.violation.is_none() {
-            self.violation = Some(msg);
+            self.violation = msg;
         }
     }
 }
 
 impl Observer for TransObserver<'_> {
     fn event(&mut self, ev: &Event) {
-        use wbsim_types::stall::StallKind;
         match *ev {
             Event::CycleEnd { now, occupancy } if occupancy > self.depth => {
-                self.fail(format!(
+                self.fail(Some(format!(
                     "cycle {now}: occupancy {occupancy} exceeds depth {}",
                     self.depth
-                ));
+                )));
             }
             Event::StallCycle { now, kind } => {
-                if self.last_stall_now != Some(now) {
-                    self.last_stall_now = Some(now);
-                    self.stall_kinds.clear();
-                }
-                if self.overlap {
-                    if !matches!(kind, StallKind::BufferFull | StallKind::L2ReadAccess) {
-                        self.fail(format!(
-                            "cycle {now}: stall cause {kind:?} cannot occur on the \
-                             non-blocking machine (hazards merge into fills)"
-                        ));
-                    }
-                    if self.stall_kinds.contains(&kind) {
-                        self.fail(format!(
-                            "cycle {now}: stall cause {kind:?} charged twice in one \
-                             cycle; under overlap each cause is exclusive per cycle"
-                        ));
-                    }
-                } else if !self.stall_kinds.is_empty() {
-                    self.fail(format!(
-                        "cycle {now}: second stall cause ({kind:?}) in one cycle; \
-                         Table-3 causes must be mutually exclusive"
-                    ));
-                }
-                self.stall_kinds.push(kind);
+                let broken = self.stalls.charge(self.overlap, now, kind);
+                self.fail(broken);
             }
             Event::RetireStart { now, id, flush } if !flush => {
-                if let Some(prev) = *self.last_retire_id {
-                    if id <= prev {
-                        self.fail(format!(
-                            "cycle {now}: autonomous retirement of entry {id} after \
-                             entry {prev}; FIFO order requires strictly increasing ids"
-                        ));
-                    }
-                }
-                *self.last_retire_id = Some(id);
+                let broken = fifo_violation(self.last_retire_id, now, id);
+                self.fail(broken);
             }
-            Event::RetireComplete { .. } => self.progress = true,
             Event::StoreAccepted { addr, .. } => {
                 self.shadow.record_store(self.g.word_addr(addr));
             }
@@ -266,10 +245,10 @@ impl Observer for TransObserver<'_> {
             } => {
                 let want = self.shadow.expected(self.g.word_addr(addr));
                 if value != want {
-                    self.fail(format!(
+                    self.fail(Some(format!(
                         "cycle {now}: load of {addr:?} via {source} observed \
                          {value:#x}, freshest store is {want:#x} (stale or lost store)"
-                    ));
+                    )));
                 }
             }
             _ => {}
@@ -292,20 +271,18 @@ impl Observer for ProgressProbe {
 }
 
 /// Invariants checked at every op boundary, against the node's concrete
-/// representative — shared between the blocking and non-blocking walks
-/// through the machine-agnostic pieces.
-fn boundary_checks_impl(
+/// representative: the machine's structural invariants, architectural
+/// reads against the shadow map, and entry and store conservation.
+fn boundary_checks<M: SimMachine>(
     g: &Geometry,
+    m: &M,
     shadow: &ShadowTracker,
     universe: &[Op],
-    read: &dyn Fn(Addr) -> u64,
-    stats: &wbsim_types::stats::SimStats,
-    victim_allocs: u64,
-    occupancy: u64,
 ) -> Result<(), String> {
+    m.check_structure()?;
     for op in universe {
         if let Op::Load(addr) | Op::Store(addr) = *op {
-            let got = read(addr);
+            let got = m.read_word_architectural(addr);
             let want = shadow.expected(g.word_addr(addr));
             if got != want {
                 return Err(format!(
@@ -315,6 +292,9 @@ fn boundary_checks_impl(
             }
         }
     }
+    let stats = m.stats();
+    let victim_allocs = m.wb_victim_allocs();
+    let occupancy = m.wb_occupancy() as u64;
     let created = stats.wb_allocations + victim_allocs;
     let destroyed = stats.wb_retirements + stats.wb_flushes + occupancy;
     if created != destroyed {
@@ -333,89 +313,26 @@ fn boundary_checks_impl(
     Ok(())
 }
 
-fn boundary_checks(
-    cfg: &MachineConfig,
-    m: &Machine,
-    shadow: &ShadowTracker,
-    universe: &[Op],
-) -> Result<(), String> {
-    boundary_checks_impl(
-        &cfg.geometry,
-        shadow,
-        universe,
-        &|addr| m.read_word_architectural(addr),
-        m.stats(),
-        m.wb_victim_allocs(),
-        m.wb_occupancy() as u64,
-    )
-}
-
-/// [`boundary_checks`] for the non-blocking machine, plus the structural
-/// MSHR invariants the event stream cannot see: at most `max_mshrs`
-/// outstanding misses, never two to the same line.
-fn boundary_checks_nonblocking(
-    cfg: &MachineConfig,
-    m: &NonBlockingMachine,
-    shadow: &ShadowTracker,
-    universe: &[Op],
-) -> Result<(), String> {
-    let lines = m.mshr_lines();
-    if lines.len() > m.max_mshrs() {
-        return Err(format!(
-            "{} outstanding misses exceed the {} MSHRs",
-            lines.len(),
-            m.max_mshrs()
-        ));
-    }
-    for (i, line) in lines.iter().enumerate() {
-        if lines[..i].contains(line) {
-            return Err(format!(
-                "two MSHRs outstanding for line {line:?}; secondary misses must merge"
-            ));
+/// Steps a wedged machine up to [`STALL_PROBE_WINDOW`] further cycles
+/// with no new ops, under `obs`.
+pub(crate) fn probe_window<M: SimMachine>(m: &mut M, obs: &mut impl Observer) {
+    for _ in 0..STALL_PROBE_WINDOW {
+        if !m.step(&mut std::iter::empty(), obs) {
+            break;
         }
     }
-    boundary_checks_impl(
-        &cfg.geometry,
-        shadow,
-        universe,
-        &|addr| m.read_word_architectural(addr),
-        m.stats(),
-        m.wb_victim_allocs(),
-        m.wb_occupancy() as u64,
-    )
-}
-
-/// A BFS node (over either machine). The machine is kept only until the
-/// node is expanded (the parent pointer suffices to reconstruct paths),
-/// bounding peak memory to the frontier.
-struct Node<M> {
-    machine: Option<M>,
-    shadow: ShadowTracker,
-    last_retire_id: Option<u64>,
-    parent: Option<(usize, Op)>,
-}
-
-/// Reconstructs the op sequence leading to `idx`, optionally extended by
-/// one more op.
-fn path_ops<M>(nodes: &[Node<M>], idx: usize, last: Option<Op>) -> Vec<Op> {
-    let mut ops = Vec::new();
-    let mut i = idx;
-    while let Some((p, op)) = nodes[i].parent {
-        ops.push(op);
-        i = p;
-    }
-    ops.reverse();
-    ops.extend(last);
-    ops
 }
 
 /// Walks the drain graph from `m` until it terminates (buffer empty),
 /// revisits a memoized state, or closes a cycle. Returns `true` for
 /// livelock. Every state on the walk is memoized with the verdict: a state
 /// that reaches a livelock is itself livelocked, and the drain graph is
-/// functional so the verdict is path-independent.
-fn drain_livelocked(
-    m: &Machine,
+/// functional so the verdict is path-independent. On the non-blocking
+/// machine the drain also completes outstanding misses (a queued MSHR
+/// blocks retirement through read-bypassing, so a drain that never issued
+/// it would wedge spuriously).
+fn drain_livelocked<M: SimMachine>(
+    m: &M,
     g: &Geometry,
     lines: &[LineAddr; 2],
     shadow: &ShadowTracker,
@@ -448,218 +365,92 @@ fn drain_livelocked(
     verdict
 }
 
-/// [`drain_livelocked`] for the non-blocking machine: the drain also
-/// completes outstanding misses (a queued MSHR blocks retirement through
-/// read-bypassing, so a drain that never issues it would wedge spuriously).
-fn drain_livelocked_nonblocking(
-    m: &NonBlockingMachine,
-    g: &Geometry,
-    lines: &[LineAddr; 2],
-    shadow: &ShadowTracker,
-    memo: &mut HashMap<AbsState, bool>,
-) -> bool {
-    let mut m = m.clone();
-    let mut path: Vec<AbsState> = Vec::new();
-    let verdict = loop {
-        let s = canonical_state(g, &m.snapshot(lines.as_slice()), shadow);
-        if let Some(&v) = memo.get(&s) {
-            break v;
+/// How a [`replay`] ended.
+enum Ending {
+    /// An op exceeded [`OP_CYCLE_BUDGET`]; the machine is left mid-op.
+    Wedged,
+    /// Every op completed and the fair drain terminated.
+    Drained,
+    /// Every op completed and the fair drain cycled (or exceeded
+    /// [`DRAIN_WALK_BOUND`]).
+    Cycled,
+}
+
+/// Feeds `ops` one at a time to `m` under `obs`, then — unless an op
+/// wedges — walks the fair drain schedule. Snapshots are time-shift
+/// invariant and frozen during a drain, so a repeated one is exactly an
+/// abstract cycle.
+fn replay<M: SimMachine>(
+    m: &mut M,
+    lines: &[LineAddr],
+    ops: &[Op],
+    obs: &mut impl Observer,
+) -> Ending {
+    for &op in ops {
+        if m.run_op_bounded(op, OP_CYCLE_BUDGET, obs).is_none() {
+            return Ending::Wedged;
         }
-        if path.contains(&s) {
-            break true;
-        }
-        path.push(s);
-        if !m.drain_step(&mut NullObserver) {
-            break false;
-        }
-        if path.len() > DRAIN_WALK_BOUND {
-            break true;
-        }
-    };
-    for s in path {
-        memo.insert(s, verdict);
     }
-    verdict
+    let mut seen: Vec<MachineSnapshot> = Vec::new();
+    loop {
+        let s = m.snapshot(lines);
+        if seen.contains(&s) || seen.len() > DRAIN_WALK_BOUND {
+            return Ending::Cycled;
+        }
+        seen.push(s);
+        if !m.drain_step(obs) {
+            return Ending::Drained;
+        }
+    }
 }
 
 /// The livelock predicate for counterexample minimization: replays `ops`
-/// op by op and reports whether the run wedges — either an op exceeds its
-/// cycle budget with no retirement progress in a further probe window, or
-/// the final state's drain walk closes a cycle. Deterministic, so greedy
-/// deletion against it is sound.
-#[must_use]
-pub fn check_liveness_sequence(cfg: &MachineConfig, ops: &[Op]) -> bool {
-    let mut cfg = cfg.clone();
-    cfg.check_data = false;
-    let lines = universe_lines(&cfg);
-    let mut m = Machine::new(cfg).expect("caller validates the configuration");
-    for &op in ops {
-        if m.run_op_bounded(op, OP_CYCLE_BUDGET, &mut NullObserver)
-            .is_none()
-        {
-            let mut probe = ProgressProbe::default();
-            for _ in 0..STALL_PROBE_WINDOW {
-                if !m.step(&mut std::iter::empty(), &mut probe) {
-                    break;
-                }
-            }
-            return !probe.progress && m.wb_occupancy() > 0;
-        }
-    }
-    // Drain-walk the final state; snapshots are time-shift invariant and
-    // frozen during a drain, so a repeat is exactly an abstract cycle.
-    let mut seen: Vec<MachineSnapshot> = Vec::new();
-    loop {
-        let s = m.snapshot(&lines);
-        if seen.contains(&s) {
-            return true;
-        }
-        seen.push(s);
-        if !m.drain_step(&mut NullObserver) {
-            return false;
-        }
-        if seen.len() > DRAIN_WALK_BOUND {
-            return true;
-        }
-    }
-}
-
-/// Greedily deletes ops while [`check_liveness_sequence`] still reports a
-/// livelock; the result is 1-minimal.
-fn minimize_liveness(cfg: &MachineConfig, ops: &[Op]) -> Vec<Op> {
-    let mut ops = ops.to_vec();
-    'outer: loop {
-        for i in 0..ops.len() {
-            let mut candidate = ops.clone();
-            candidate.remove(i);
-            if check_liveness_sequence(cfg, &candidate) {
-                ops = candidate;
-                continue 'outer;
-            }
-        }
-        return ops;
-    }
-}
-
-/// Replays a liveness counterexample under a trace collector: the ops, the
-/// wedged-stall probe window if an op never completes, and otherwise one
-/// full period of the drain cycle.
-fn liveness_trace(cfg: &MachineConfig, ops: &[Op]) -> Vec<String> {
-    let mut cfg = cfg.clone();
-    cfg.check_data = false;
-    let lines = universe_lines(&cfg);
-    let mut trace = TraceObserver::default();
-    let mut m = Machine::new(cfg).expect("caller validates the configuration");
-    for &op in ops {
-        if m.run_op_bounded(op, OP_CYCLE_BUDGET, &mut trace).is_none() {
-            for _ in 0..STALL_PROBE_WINDOW {
-                if !m.step(&mut std::iter::empty(), &mut trace) {
-                    break;
-                }
-            }
-            return trace.lines;
-        }
-    }
-    let mut seen: Vec<MachineSnapshot> = Vec::new();
-    loop {
-        let s = m.snapshot(&lines);
-        if seen.contains(&s) || seen.len() > DRAIN_WALK_BOUND {
-            return trace.lines;
-        }
-        seen.push(s);
-        if !m.drain_step(&mut trace) {
-            return trace.lines;
-        }
-    }
-}
-
-/// [`check_liveness_sequence`] for the non-blocking machine with `mshrs`
-/// registers.
+/// op by op on machine `M` and reports whether the run wedges — either an
+/// op exceeds its cycle budget with no retirement progress in a further
+/// probe window, or the final state's drain walk closes a cycle.
+/// Deterministic, so greedy deletion against it is sound.
 ///
 /// # Panics
 ///
-/// Panics when `cfg`/`mshrs` are rejected by
-/// [`NonBlockingMachine::new`] — callers validate first.
+/// Panics if `M::build` rejects `cfg`/`mshrs` — callers validate first.
 #[must_use]
-pub fn check_liveness_sequence_nonblocking(cfg: &MachineConfig, mshrs: usize, ops: &[Op]) -> bool {
+pub fn check_liveness_sequence<M: SimMachine>(
+    cfg: &MachineConfig,
+    mshrs: Option<usize>,
+    ops: &[Op],
+) -> bool {
     let mut cfg = cfg.clone();
     cfg.check_data = false;
     let lines = universe_lines(&cfg);
-    let mut m = NonBlockingMachine::new(cfg, mshrs).expect("caller validates the configuration");
-    for &op in ops {
-        if m.run_op_bounded(op, OP_CYCLE_BUDGET, &mut NullObserver)
-            .is_none()
-        {
+    let mut m = M::build(cfg, mshrs).expect("caller validates the configuration");
+    match replay(&mut m, &lines, ops, &mut NullObserver) {
+        Ending::Wedged => {
             let mut probe = ProgressProbe::default();
-            for _ in 0..STALL_PROBE_WINDOW {
-                if !m.step(&mut std::iter::empty(), &mut probe) {
-                    break;
-                }
-            }
-            return !probe.progress && m.wb_occupancy() > 0;
+            probe_window(&mut m, &mut probe);
+            !probe.progress && m.wb_occupancy() > 0
         }
-    }
-    let mut seen: Vec<MachineSnapshot> = Vec::new();
-    loop {
-        let s = m.snapshot(&lines);
-        if seen.contains(&s) {
-            return true;
-        }
-        seen.push(s);
-        if !m.drain_step(&mut NullObserver) {
-            return false;
-        }
-        if seen.len() > DRAIN_WALK_BOUND {
-            return true;
-        }
+        Ending::Drained => false,
+        Ending::Cycled => true,
     }
 }
 
-/// Greedy 1-minimization against
-/// [`check_liveness_sequence_nonblocking`].
-fn minimize_liveness_nonblocking(cfg: &MachineConfig, mshrs: usize, ops: &[Op]) -> Vec<Op> {
-    let mut ops = ops.to_vec();
-    'outer: loop {
-        for i in 0..ops.len() {
-            let mut candidate = ops.clone();
-            candidate.remove(i);
-            if check_liveness_sequence_nonblocking(cfg, mshrs, &candidate) {
-                ops = candidate;
-                continue 'outer;
-            }
-        }
-        return ops;
-    }
-}
-
-/// [`liveness_trace`] for the non-blocking machine.
-fn liveness_trace_nonblocking(cfg: &MachineConfig, mshrs: usize, ops: &[Op]) -> Vec<String> {
+/// Replays a counterexample under a trace collector: the ops, the
+/// wedged-stall probe window if an op never completes, and otherwise the
+/// terminal drain up to one full period of its cycle.
+pub(crate) fn replay_trace<M: SimMachine>(
+    cfg: &MachineConfig,
+    mshrs: Option<usize>,
+    ops: &[Op],
+) -> Vec<String> {
     let mut cfg = cfg.clone();
     cfg.check_data = false;
     let lines = universe_lines(&cfg);
     let mut trace = TraceObserver::default();
-    let mut m = NonBlockingMachine::new(cfg, mshrs).expect("caller validates the configuration");
-    for &op in ops {
-        if m.run_op_bounded(op, OP_CYCLE_BUDGET, &mut trace).is_none() {
-            for _ in 0..STALL_PROBE_WINDOW {
-                if !m.step(&mut std::iter::empty(), &mut trace) {
-                    break;
-                }
-            }
-            return trace.lines;
-        }
+    let mut m = M::build(cfg, mshrs).expect("caller validates the configuration");
+    if let Ending::Wedged = replay(&mut m, &lines, ops, &mut trace) {
+        probe_window(&mut m, &mut trace);
     }
-    let mut seen: Vec<MachineSnapshot> = Vec::new();
-    loop {
-        let s = m.snapshot(&lines);
-        if seen.contains(&s) || seen.len() > DRAIN_WALK_BOUND {
-            return trace.lines;
-        }
-        seen.push(s);
-        if !m.drain_step(&mut trace) {
-            return trace.lines;
-        }
-    }
+    trace.lines
 }
 
 pub(crate) fn rch_diagnostic(code: &'static str, field_path: &str, msg: String) -> Diagnostic {
@@ -670,56 +461,21 @@ pub(crate) fn rch_diagnostic(code: &'static str, field_path: &str, msg: String) 
 /// bounded sequence checker can see the same violation, its minimizer and
 /// trace collector are reused wholesale; a reach-only violation keeps the
 /// unminimized path with a fresh trace.
-fn safety_violation(cfg: &MachineConfig, ops: Vec<Op>, msg: String) -> Box<ReachViolation> {
-    let ce = if check_sequence(cfg, &ops).is_err() {
-        counterexample(cfg, &ops)
-    } else {
-        let mut run_cfg = cfg.clone();
-        run_cfg.check_data = false;
-        let mut trace = TraceObserver::default();
-        let _ = Machine::new(run_cfg)
-            .expect("caller validates the configuration")
-            .run_bounded(ops.iter().copied(), 10_000, &mut trace);
-        Box::new(Counterexample {
-            config: cfg.clone(),
-            mshrs: None,
-            ops,
-            violation: msg.clone(),
-            trace: trace.lines,
-        })
-    };
-    Box::new(ReachViolation {
-        diagnostic: rch_diagnostic(
-            "RCH001",
-            "machine",
-            format!("safety invariant violated at a reachable state: {msg}"),
-        ),
-        counterexample: Some(ce),
-    })
-}
-
-/// [`safety_violation`] for the non-blocking machine.
-fn safety_violation_nonblocking(
+fn safety_violation<M: SimMachine>(
     cfg: &MachineConfig,
-    mshrs: usize,
+    mshrs: Option<usize>,
     ops: Vec<Op>,
     msg: String,
 ) -> Box<ReachViolation> {
-    let ce = if check_sequence_nonblocking(cfg, mshrs, &ops).is_err() {
-        counterexample_nonblocking(cfg, mshrs, &ops)
+    let ce = if check_sequence::<M>(cfg, mshrs, &ops).is_err() {
+        counterexample::<M>(cfg, mshrs, &ops)
     } else {
-        let mut run_cfg = cfg.clone();
-        run_cfg.check_data = false;
-        let mut trace = TraceObserver::default();
-        let _ = NonBlockingMachine::new(run_cfg, mshrs)
-            .expect("caller validates the configuration")
-            .run_bounded(ops.iter().copied(), 10_000, &mut trace);
         Box::new(Counterexample {
             config: cfg.clone(),
-            mshrs: Some(mshrs),
+            mshrs,
+            trace: sequence_trace::<M>(cfg, mshrs, &ops),
             ops,
             violation: msg.clone(),
-            trace: trace.lines,
         })
     };
     Box::new(ReachViolation {
@@ -733,38 +489,17 @@ fn safety_violation_nonblocking(
 }
 
 /// Builds the `RCH002` violation for a livelock witnessed by `ops`.
-fn liveness_violation(cfg: &MachineConfig, ops: Vec<Op>, detail: &str) -> Box<ReachViolation> {
-    debug_assert!(check_liveness_sequence(cfg, &ops));
-    let ops = minimize_liveness(cfg, &ops);
-    let violation = format!("livelock: {detail}");
-    let trace = liveness_trace(cfg, &ops);
-    Box::new(ReachViolation {
-        diagnostic: rch_diagnostic(
-            "RCH002",
-            "write_buffer",
-            format!("{violation} ({} ops reach it)", ops.len()),
-        ),
-        counterexample: Some(Box::new(Counterexample {
-            config: cfg.clone(),
-            mshrs: None,
-            ops,
-            violation,
-            trace,
-        })),
-    })
-}
-
-/// [`liveness_violation`] for the non-blocking machine.
-fn liveness_violation_nonblocking(
+fn liveness_violation<M: SimMachine>(
     cfg: &MachineConfig,
-    mshrs: usize,
-    ops: Vec<Op>,
+    mshrs: Option<usize>,
+    ops: &[Op],
     detail: &str,
 ) -> Box<ReachViolation> {
-    debug_assert!(check_liveness_sequence_nonblocking(cfg, mshrs, &ops));
-    let ops = minimize_liveness_nonblocking(cfg, mshrs, &ops);
+    debug_assert!(check_liveness_sequence::<M>(cfg, mshrs, ops));
+    let (ops, _) = minimize(ops, |c| {
+        check_liveness_sequence::<M>(cfg, mshrs, c).then_some(())
+    });
     let violation = format!("livelock: {detail}");
-    let trace = liveness_trace_nonblocking(cfg, mshrs, &ops);
     Box::new(ReachViolation {
         diagnostic: rch_diagnostic(
             "RCH002",
@@ -773,34 +508,29 @@ fn liveness_violation_nonblocking(
         ),
         counterexample: Some(Box::new(Counterexample {
             config: cfg.clone(),
-            mshrs: Some(mshrs),
+            mshrs,
+            trace: replay_trace::<M>(cfg, mshrs, &ops),
             ops,
             violation,
-            trace,
         })),
     })
 }
 
-/// Explores one configuration to closure. Returns `Ok(None)` only when
-/// `abort` fired.
-fn explore_config(
+/// Explores one design point to closure. Returns `Ok(None)` only when
+/// `abort` fired. On the non-blocking machine the abstract state carries
+/// the MSHR component, the stall taxonomy uses the overlapped rule, and
+/// every boundary additionally asserts the structural MSHR invariants.
+fn explore_reach<M: SimMachine>(
     cfg: &MachineConfig,
+    mshrs: Option<usize>,
     abort: &dyn Fn() -> bool,
 ) -> Result<Option<ReachConfigStats>, Box<ReachViolation>> {
-    if let Err(reject) = gate(cfg) {
-        return Err(Box::new(ReachViolation {
-            diagnostic: rch_diagnostic(
-                "RCH003",
-                &reject.field,
-                format!(
-                    "configuration is outside the abstractable class: {}",
-                    reject.why
-                ),
-            )
-            .with_suggestion(reject.suggestion),
+    gate(cfg).map_err(|reject| {
+        Box::new(ReachViolation {
+            diagnostic: gate_diagnostic(reject),
             counterexample: None,
-        }));
-    }
+        })
+    })?;
     let mut cfg = cfg.clone();
     cfg.check_data = false;
     let g = cfg.geometry;
@@ -808,66 +538,54 @@ fn explore_config(
     let universe = op_universe(&cfg);
     let depth = cfg.write_buffer.depth as u64;
 
-    let m0 = Machine::new(cfg.clone()).expect("bounded configs are valid");
+    let m0 = M::build(cfg.clone(), mshrs).expect("grid configs are valid");
     let shadow0 = ShadowTracker::default();
     let mut drain_memo: HashMap<AbsState, bool> = HashMap::new();
     if drain_livelocked(&m0, &g, &lines, &shadow0, &mut drain_memo) {
-        return Err(liveness_violation(
+        return Err(liveness_violation::<M>(
             &cfg,
-            Vec::new(),
+            mshrs,
+            &[],
             "the initial state cycles under the fair drain schedule",
         ));
     }
     let s0 = canonical_state(&g, &m0.snapshot(&lines), &shadow0);
-    let mut nodes = vec![Node {
-        machine: Some(m0),
-        shadow: shadow0,
-        last_retire_id: None,
-        parent: None,
-    }];
-    let mut visited: HashMap<AbsState, usize> = HashMap::from([(s0, 0)]);
-    let mut queue: VecDeque<usize> = VecDeque::from([0]);
+    // A node: its concrete representative, shadow map, and FIFO cursor.
+    let mut bfs = Bfs::new(s0, (m0, shadow0, None));
     let mut edges: u64 = 0;
 
-    while let Some(idx) = queue.pop_front() {
+    while let Some((idx, (machine, node_shadow, node_retire_id))) = bfs.pop() {
         if abort() {
             return Ok(None);
         }
-        let machine = nodes[idx].machine.take().expect("nodes expand once");
         for &op in &universe {
             let mut m = machine.clone();
-            let mut shadow = nodes[idx].shadow.clone();
-            let mut last_retire_id = nodes[idx].last_retire_id;
+            let mut shadow = node_shadow.clone();
+            let mut last_retire_id = node_retire_id;
             let mut obs = TransObserver {
                 g,
                 depth,
-                overlap: false,
+                overlap: M::OVERLAP,
                 shadow: &mut shadow,
                 last_retire_id: &mut last_retire_id,
-                last_stall_now: None,
-                stall_kinds: Vec::new(),
-                progress: false,
+                stalls: StallRule::default(),
                 violation: None,
             };
             let completed = m.run_op_bounded(op, OP_CYCLE_BUDGET, &mut obs);
-            let violation = obs.violation.take();
-            if let Some(msg) = violation {
-                return Err(safety_violation(&cfg, path_ops(&nodes, idx, Some(op)), msg));
+            if let Some(msg) = obs.violation.take() {
+                return Err(safety_violation::<M>(&cfg, mshrs, bfs.path(idx, op), msg));
             }
             if completed.is_none() {
                 // The op wedged. Probe for progress to tell a livelock from
                 // an undersized budget.
                 let mut probe = ProgressProbe::default();
-                for _ in 0..STALL_PROBE_WINDOW {
-                    if !m.step(&mut std::iter::empty(), &mut probe) {
-                        break;
-                    }
-                }
-                let ops = path_ops(&nodes, idx, Some(op));
+                probe_window(&mut m, &mut probe);
+                let ops = bfs.path(idx, op);
                 if !probe.progress && m.wb_occupancy() > 0 {
-                    return Err(liveness_violation(
+                    return Err(liveness_violation::<M>(
                         &cfg,
-                        ops,
+                        mshrs,
+                        &ops,
                         "an op exceeds its cycle budget while the buffer makes no \
                          retirement progress",
                     ));
@@ -887,33 +605,27 @@ fn explore_config(
                 }));
             }
             edges += 1;
-            if let Err(msg) = boundary_checks(&cfg, &m, &shadow, &universe) {
-                return Err(safety_violation(&cfg, path_ops(&nodes, idx, Some(op)), msg));
+            if let Err(msg) = boundary_checks(&g, &m, &shadow, &universe) {
+                return Err(safety_violation::<M>(&cfg, mshrs, bfs.path(idx, op), msg));
             }
             let state = canonical_state(&g, &m.snapshot(&lines), &shadow);
-            if visited.contains_key(&state) {
+            if bfs.seen(&state) {
                 continue;
             }
             if drain_livelocked(&m, &g, &lines, &shadow, &mut drain_memo) {
-                return Err(liveness_violation(
+                return Err(liveness_violation::<M>(
                     &cfg,
-                    path_ops(&nodes, idx, Some(op)),
+                    mshrs,
+                    &bfs.path(idx, op),
                     "a reachable state cycles under the fair drain schedule without \
                      retiring anything",
                 ));
             }
-            visited.insert(state, nodes.len());
-            queue.push_back(nodes.len());
-            nodes.push(Node {
-                machine: Some(m),
-                shadow,
-                last_retire_id,
-                parent: Some((idx, op)),
-            });
+            bfs.push(state, idx, op, (m, shadow, last_retire_id));
         }
     }
     Ok(Some(ReachConfigStats {
-        states: nodes.len() as u64,
+        states: bfs.states(),
         edges,
         // Every memoized drain state proved acyclic, so each is its own
         // SCC; a cycle would have returned RCH002 above.
@@ -921,161 +633,14 @@ fn explore_config(
     }))
 }
 
-/// [`explore_config`] for the non-blocking machine with `mshrs` registers:
-/// the abstract state carries the MSHR component, the stall taxonomy uses
-/// the overlapped rule, and every boundary additionally asserts the
-/// structural MSHR invariants.
-fn explore_config_nonblocking(
-    cfg: &MachineConfig,
-    mshrs: usize,
-    abort: &dyn Fn() -> bool,
-) -> Result<Option<ReachConfigStats>, Box<ReachViolation>> {
-    if let Err(reject) = gate(cfg) {
-        return Err(Box::new(ReachViolation {
-            diagnostic: rch_diagnostic(
-                "RCH003",
-                &reject.field,
-                format!(
-                    "configuration is outside the abstractable class: {}",
-                    reject.why
-                ),
-            )
-            .with_suggestion(reject.suggestion),
-            counterexample: None,
-        }));
-    }
-    let mut cfg = cfg.clone();
-    cfg.check_data = false;
-    let g = cfg.geometry;
-    let lines = universe_lines(&cfg);
-    let universe = op_universe(&cfg);
-    let depth = cfg.write_buffer.depth as u64;
-
-    let m0 = NonBlockingMachine::new(cfg.clone(), mshrs).expect("non-blocking configs are valid");
-    let shadow0 = ShadowTracker::default();
-    let mut drain_memo: HashMap<AbsState, bool> = HashMap::new();
-    if drain_livelocked_nonblocking(&m0, &g, &lines, &shadow0, &mut drain_memo) {
-        return Err(liveness_violation_nonblocking(
-            &cfg,
-            mshrs,
-            Vec::new(),
-            "the initial state cycles under the fair drain schedule",
-        ));
-    }
-    let s0 = canonical_state(&g, &m0.snapshot(&lines), &shadow0);
-    let mut nodes = vec![Node {
-        machine: Some(m0),
-        shadow: shadow0,
-        last_retire_id: None,
-        parent: None,
-    }];
-    let mut visited: HashMap<AbsState, usize> = HashMap::from([(s0, 0)]);
-    let mut queue: VecDeque<usize> = VecDeque::from([0]);
-    let mut edges: u64 = 0;
-
-    while let Some(idx) = queue.pop_front() {
-        if abort() {
-            return Ok(None);
-        }
-        let machine = nodes[idx].machine.take().expect("nodes expand once");
-        for &op in &universe {
-            let mut m = machine.clone();
-            let mut shadow = nodes[idx].shadow.clone();
-            let mut last_retire_id = nodes[idx].last_retire_id;
-            let mut obs = TransObserver {
-                g,
-                depth,
-                overlap: true,
-                shadow: &mut shadow,
-                last_retire_id: &mut last_retire_id,
-                last_stall_now: None,
-                stall_kinds: Vec::new(),
-                progress: false,
-                violation: None,
-            };
-            let completed = m.run_op_bounded(op, OP_CYCLE_BUDGET, &mut obs);
-            let violation = obs.violation.take();
-            if let Some(msg) = violation {
-                return Err(safety_violation_nonblocking(
-                    &cfg,
-                    mshrs,
-                    path_ops(&nodes, idx, Some(op)),
-                    msg,
-                ));
-            }
-            if completed.is_none() {
-                let mut probe = ProgressProbe::default();
-                for _ in 0..STALL_PROBE_WINDOW {
-                    if !m.step(&mut std::iter::empty(), &mut probe) {
-                        break;
-                    }
-                }
-                let ops = path_ops(&nodes, idx, Some(op));
-                if !probe.progress && m.wb_occupancy() > 0 {
-                    return Err(liveness_violation_nonblocking(
-                        &cfg,
-                        mshrs,
-                        ops,
-                        "an op exceeds its cycle budget while the buffer makes no \
-                         retirement progress",
-                    ));
-                }
-                return Err(Box::new(ReachViolation {
-                    diagnostic: rch_diagnostic(
-                        "RCH001",
-                        "machine",
-                        format!(
-                            "op {op:?} after {} ops exceeded the {OP_CYCLE_BUDGET}-cycle \
-                             budget while retirement still progresses; the budget is \
-                             undersized for this configuration",
-                            ops.len() - 1
-                        ),
-                    ),
-                    counterexample: None,
-                }));
-            }
-            edges += 1;
-            if let Err(msg) = boundary_checks_nonblocking(&cfg, &m, &shadow, &universe) {
-                return Err(safety_violation_nonblocking(
-                    &cfg,
-                    mshrs,
-                    path_ops(&nodes, idx, Some(op)),
-                    msg,
-                ));
-            }
-            let state = canonical_state(&g, &m.snapshot(&lines), &shadow);
-            if visited.contains_key(&state) {
-                continue;
-            }
-            if drain_livelocked_nonblocking(&m, &g, &lines, &shadow, &mut drain_memo) {
-                return Err(liveness_violation_nonblocking(
-                    &cfg,
-                    mshrs,
-                    path_ops(&nodes, idx, Some(op)),
-                    "a reachable state cycles under the fair drain schedule without \
-                     retiring anything",
-                ));
-            }
-            visited.insert(state, nodes.len());
-            queue.push_back(nodes.len());
-            nodes.push(Node {
-                machine: Some(m),
-                shadow,
-                last_retire_id,
-                parent: Some((idx, op)),
-            });
-        }
-    }
-    Ok(Some(ReachConfigStats {
-        states: nodes.len() as u64,
-        edges,
-        sccs: drain_memo.len() as u64,
-    }))
-}
-
-/// Explores a single configuration's abstract state graph to closure,
-/// checking every safety invariant at every reachable state and the
-/// liveness property on the drain graph.
+/// Explores one design point's abstract state graph to closure on machine
+/// `M` (with `mshrs` registers when it has them), checking every safety
+/// invariant at every reachable state and the liveness property on the
+/// drain graph. On the non-blocking machine the abstract state carries
+/// per-line miss countdowns, canonicalized alongside line renaming, and
+/// the MSHR-specific invariants — register-count bound, no duplicate
+/// outstanding miss per line, merge-on-fill correctness, and the
+/// overlapped stall taxonomy — are proved too.
 ///
 /// # Errors
 ///
@@ -1084,140 +649,106 @@ fn explore_config_nonblocking(
 ///
 /// # Panics
 ///
-/// Panics if `cfg` fails [`MachineConfig::validate`] — like the bounded
-/// checker, this explores behavior of valid configurations only.
-pub fn check_reach_config(cfg: &MachineConfig) -> Result<ReachConfigStats, Box<ReachViolation>> {
-    Ok(explore_config(cfg, &|| false)?.expect("no abort requested"))
+/// Panics if `M::build` rejects `cfg`/`mshrs` — like the bounded checker,
+/// this explores behavior of valid configurations only.
+pub fn check_reach_point<M: SimMachine>(
+    cfg: &MachineConfig,
+    mshrs: Option<usize>,
+) -> Result<ReachConfigStats, Box<ReachViolation>> {
+    Ok(explore_reach::<M>(cfg, mshrs, &|| false)?.expect("no abort requested"))
 }
 
-/// Runs the reachability check over the whole bounded configuration grid
-/// (the same 40 configurations as [`crate::check_exhaustive`]) with
-/// [`default_jobs`] worker threads. See [`check_reach_jobs`].
+/// Runs the reachability check over every point of `grid` with `jobs`
+/// worker threads. Like [`crate::check_exhaustive`], the result is
+/// identical for every `jobs` value (only `wall_ms` varies): a violation
+/// is always reported for the first violating point in grid order, and
+/// the clean-run statistics are order-independent sums.
 ///
 /// # Errors
 ///
-/// The first violating configuration's [`ReachViolation`], in
-/// configuration order.
-pub fn check_reach(fault: Option<FaultInjection>) -> Result<CheckReport, Box<ReachViolation>> {
-    check_reach_jobs(fault, default_jobs())
+/// The first violating point's [`ReachViolation`], in grid order.
+pub fn check_reach(grid: &CheckGrid, jobs: usize) -> Result<CheckReport, Box<ReachViolation>> {
+    match grid.kind() {
+        MachineKind::Blocking => reach_grid::<Machine>(grid, jobs),
+        MachineKind::NonBlocking => reach_grid::<NonBlockingMachine>(grid, jobs),
+    }
 }
 
-/// [`check_reach`] with an explicit worker-thread count. Like
-/// [`crate::check_exhaustive_jobs`], the result is identical for every
-/// `jobs` value (only `wall_ms` varies): a violation is always reported
-/// for the first violating configuration in configuration order, and the
-/// clean-run statistics are order-independent sums.
-///
-/// # Errors
-///
-/// The first violating configuration's [`ReachViolation`], in
-/// configuration order.
-pub fn check_reach_jobs(
-    fault: Option<FaultInjection>,
+fn reach_grid<M: SimMachine>(
+    grid: &CheckGrid,
     jobs: usize,
 ) -> Result<CheckReport, Box<ReachViolation>> {
-    let start = Instant::now();
-    let configs = bounded_configs(fault);
-    match run_indexed_earliest(configs.len(), jobs, |i, abort| {
-        explore_config(&configs[i], abort)
-    }) {
-        Err((_, violation)) => Err(violation),
-        Ok(results) => {
-            let mut report = CheckReport {
-                configs: configs.len() as u64,
-                wall_ms: 0,
-                ..CheckReport::default()
-            };
-            for stats in results.into_iter().flatten() {
-                report.states_explored += stats.states;
-                report.edges += stats.edges;
-                report.sccs += stats.sccs;
-            }
-            report.wall_ms = u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX);
-            Ok(report)
-        }
-    }
+    grid.run(jobs, |cfg, mshrs, abort| {
+        let stats = explore_reach::<M>(cfg, mshrs, abort)?.unwrap_or_default();
+        Ok([stats.states, stats.edges, stats.sccs])
+    })
+    .map_err(|(_, v)| v)
 }
 
-/// [`check_reach_config`] for the non-blocking machine with `mshrs` miss
-/// registers: explores the abstract quotient of the MSHR machine (the
-/// abstract state carries per-line miss countdowns, canonicalized
-/// alongside line renaming) and proves the blocking invariants plus the
-/// MSHR-specific ones — register-count bound, no duplicate outstanding
-/// miss per line, merge-on-fill correctness, and the overlapped stall
-/// taxonomy — for op sequences of any length.
+/// [`check_reach_point`] on the blocking machine. The benchmark probe
+/// (`perfbench/probe`) links this name.
 ///
 /// # Errors
 ///
-/// [`ReachViolation`] with `RCH001` (safety), `RCH002` (livelock), or
-/// `RCH003` (the configuration is outside the abstractable class).
+/// As for [`check_reach_point`].
+pub fn check_reach_config(cfg: &MachineConfig) -> Result<ReachConfigStats, Box<ReachViolation>> {
+    check_reach_point::<Machine>(cfg, None)
+}
+
+/// [`check_reach_point`] on the non-blocking machine. The benchmark probe
+/// (`perfbench/probe`) links this name.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `cfg` fails [`MachineConfig::validate`] or rejects the
-/// non-blocking machine (its hazard policy must be `read-from-wb`).
+/// As for [`check_reach_point`].
 pub fn check_reach_config_nonblocking(
     cfg: &MachineConfig,
     mshrs: usize,
 ) -> Result<ReachConfigStats, Box<ReachViolation>> {
-    Ok(explore_config_nonblocking(cfg, mshrs, &|| false)?.expect("no abort requested"))
+    check_reach_point::<NonBlockingMachine>(cfg, Some(mshrs))
 }
 
-/// Runs the non-blocking reachability check over the whole non-blocking
-/// grid ([`crate::nonblocking_configs`]) with [`default_jobs`] worker
-/// threads. See [`check_reach_nonblocking_jobs`].
+/// [`check_reach`] over the blocking grid. The benchmark probe
+/// (`perfbench/probe`) links this name.
 ///
 /// # Errors
 ///
-/// The first violating configuration's [`ReachViolation`], in
-/// configuration order.
-pub fn check_reach_nonblocking(
+/// As for [`check_reach`].
+pub fn check_reach_jobs(
     fault: Option<FaultInjection>,
-    mshrs: Option<usize>,
+    jobs: usize,
 ) -> Result<CheckReport, Box<ReachViolation>> {
-    check_reach_nonblocking_jobs(fault, mshrs, default_jobs())
+    check_reach(
+        &CheckGrid::new(MachineKind::Blocking, fault, None).expect("always valid"),
+        jobs,
+    )
 }
 
-/// [`check_reach_nonblocking`] with an explicit worker-thread count; the
-/// result is identical for every `jobs` value (only `wall_ms` varies).
+/// [`check_reach`] over the non-blocking grid. The benchmark probe
+/// (`perfbench/probe`) links this name.
 ///
 /// # Errors
 ///
-/// The first violating configuration's [`ReachViolation`], in
-/// configuration order.
+/// As for [`check_reach`].
+///
+/// # Panics
+///
+/// Panics if `mshrs` is outside [`crate::GRID_MSHRS`].
 pub fn check_reach_nonblocking_jobs(
     fault: Option<FaultInjection>,
     mshrs: Option<usize>,
     jobs: usize,
 ) -> Result<CheckReport, Box<ReachViolation>> {
-    let start = Instant::now();
-    let configs = nonblocking_configs(fault, mshrs);
-    match run_indexed_earliest(configs.len(), jobs, |i, abort| {
-        let (cfg, m) = &configs[i];
-        explore_config_nonblocking(cfg, *m, abort)
-    }) {
-        Err((_, violation)) => Err(violation),
-        Ok(results) => {
-            let mut report = CheckReport {
-                configs: configs.len() as u64,
-                wall_ms: 0,
-                ..CheckReport::default()
-            };
-            for stats in results.into_iter().flatten() {
-                report.states_explored += stats.states;
-                report.edges += stats.edges;
-                report.sccs += stats.sccs;
-            }
-            report.wall_ms = u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX);
-            Ok(report)
-        }
-    }
+    check_reach(
+        &CheckGrid::new(MachineKind::NonBlocking, fault, mshrs).expect("MSHR count in the grid"),
+        jobs,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bounded::{first_violating_sequence, first_violating_sequence_nonblocking};
+    use crate::bounded::first_violating_sequence;
     use wbsim_sim::EventParseError;
     use wbsim_types::policy::LoadHazardPolicy;
     use wbsim_types::testutil::a;
@@ -1231,9 +762,22 @@ mod tests {
         cfg
     }
 
-    #[test]
-    fn baseline_grid_reach_is_clean() {
-        let report = check_reach(None).expect("the paper's design space is clean");
+    fn grid<M: SimMachine>(fault: Option<FaultInjection>, mshrs: Option<usize>) -> CheckGrid {
+        CheckGrid::new(M::KIND, fault, mshrs).expect("grid in range")
+    }
+
+    fn assert_replayable(trace: &[String]) {
+        assert!(!trace.is_empty());
+        for line in trace {
+            let ev: Result<Event, EventParseError> = Event::from_json(line);
+            ev.expect("counterexample trace must be valid JSONL");
+        }
+    }
+
+    fn assert_grid_clean<M: SimMachine>() {
+        let report = check_reach(&grid::<M>(None, None), 2).expect("the design space is clean");
+        // Blocking: 4 hazards x 10 depth/high-water shapes; non-blocking:
+        // 10 shapes (hazard pinned to read-from-WB) x MSHR counts 1-4.
         assert_eq!(report.configs, 40);
         assert_eq!(report.sequences, 0, "reach does not enumerate sequences");
         // The closure proves the invariants for arbitrarily long op
@@ -1249,40 +793,58 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_reach_runs_agree() {
-        let mut one = check_reach_jobs(None, 1).expect("clean grid");
-        let mut four = check_reach_jobs(None, 4).expect("clean grid");
-        one.wall_ms = 0;
-        four.wall_ms = 0;
-        assert_eq!(one, four);
+    fn grid_reach_is_clean_on_both_machines() {
+        assert_grid_clean::<Machine>();
+        assert_grid_clean::<NonBlockingMachine>();
     }
 
     #[test]
-    fn reach_agrees_with_bounded_on_every_configuration() {
-        // Cross-validation: on every shared configuration, the bounded
-        // checker (N=3) and the reachability checker must agree on whether
-        // a *safety* fault is present. skip-wb-forwarding is a pure safety
-        // bug, so the verdicts must match exactly.
+    fn parallel_and_serial_reach_runs_agree_on_both_machines() {
+        for (kind, mshrs) in [
+            (MachineKind::Blocking, None),
+            (MachineKind::NonBlocking, Some(2)),
+        ] {
+            let grid = CheckGrid::new(kind, None, mshrs).unwrap();
+            let mut one = check_reach(&grid, 1).expect("clean grid");
+            let mut four = check_reach(&grid, 4).expect("clean grid");
+            one.wall_ms = 0;
+            four.wall_ms = 0;
+            assert_eq!(one, four, "{kind:?}");
+        }
+    }
+
+    /// Cross-validation: on every shared design point, the bounded checker
+    /// (N=3) and the reachability checker must agree on whether a *safety*
+    /// fault is present. skip-wb-forwarding is a pure safety bug, so the
+    /// verdicts must match exactly.
+    fn assert_reach_agrees_with_bounded<M: SimMachine>() {
         for fault in [None, Some(FaultInjection::SkipWbForwarding)] {
-            for cfg in bounded_configs(fault) {
-                let bounded_dirty = first_violating_sequence(&cfg, 3, &|| false).is_some();
-                let reach = check_reach_config(&cfg);
+            for (cfg, mshrs) in grid::<M>(fault, None).points().iter().cloned() {
+                let bounded_dirty =
+                    first_violating_sequence::<M>(&cfg, mshrs, 3, &|| false).is_some();
+                let reach = check_reach_point::<M>(&cfg, mshrs);
                 assert_eq!(
                     bounded_dirty,
                     reach.is_err(),
-                    "bounded and reach disagree on {:?} depth {} hw {:?} fault {:?}",
+                    "bounded and reach disagree on {:?} {:?} depth {} hw {:?} mshrs {mshrs:?} \
+                     fault {fault:?}",
+                    M::KIND,
                     cfg.write_buffer.hazard,
                     cfg.write_buffer.depth,
                     cfg.write_buffer.retirement,
-                    fault
                 );
             }
         }
     }
 
     #[test]
-    fn skip_wb_forwarding_yields_minimized_replayable_safety_counterexample() {
-        let v = check_reach(Some(FaultInjection::SkipWbForwarding))
+    fn reach_agrees_with_bounded_on_every_point_of_both_machines() {
+        assert_reach_agrees_with_bounded::<Machine>();
+        assert_reach_agrees_with_bounded::<NonBlockingMachine>();
+    }
+
+    fn assert_skip_wb_counterexample<M: SimMachine>() {
+        let v = check_reach(&grid::<M>(Some(FaultInjection::SkipWbForwarding), None), 2)
             .expect_err("skipping WB forwarding must violate freshness");
         assert_eq!(v.diagnostic.code, "RCH001");
         let ce = v.counterexample.expect("safety violations carry one");
@@ -1291,48 +853,62 @@ mod tests {
             LoadHazardPolicy::ReadFromWb,
             "the fault only bites under read-from-WB"
         );
+        assert_eq!(
+            ce.mshrs.is_some(),
+            M::KIND == MachineKind::NonBlocking,
+            "non-blocking counterexamples record the MSHR count"
+        );
         assert!(!ce.ops.is_empty());
         // 1-minimal under the bounded sequence checker.
         for i in 0..ce.ops.len() {
             let mut fewer = ce.ops.clone();
             fewer.remove(i);
             assert!(
-                check_sequence(&ce.config, &fewer).is_ok(),
-                "counterexample is not minimal: op {i} is removable"
+                check_sequence::<M>(&ce.config, ce.mshrs, &fewer).is_ok(),
+                "{:?}: counterexample is not minimal: op {i} is removable",
+                M::KIND
             );
         }
-        assert!(!ce.trace.is_empty());
-        for line in &ce.trace {
-            let ev: Result<Event, EventParseError> = Event::from_json(line);
-            ev.expect("counterexample trace must be valid JSONL");
-        }
+        assert_replayable(&ce.trace);
     }
 
     #[test]
-    fn starved_retirement_yields_minimized_replayable_livelock_counterexample() {
-        // With autonomous retirement starved, any non-empty buffer already
-        // cycles under the fair drain schedule: one store is the minimal
-        // witness, and the BFS finds it at the first non-initial state.
-        let v = check_reach(Some(FaultInjection::StarveRetirement))
+    fn skip_wb_forwarding_yields_minimized_replayable_safety_counterexample_on_both_machines() {
+        assert_skip_wb_counterexample::<Machine>();
+        assert_skip_wb_counterexample::<NonBlockingMachine>();
+    }
+
+    /// With autonomous retirement starved, any non-empty buffer already
+    /// cycles under the fair drain schedule: one store is the minimal
+    /// witness, and the BFS finds it at the first non-initial state.
+    fn assert_starved_livelock_counterexample<M: SimMachine>() {
+        let v = check_reach(&grid::<M>(Some(FaultInjection::StarveRetirement), None), 2)
             .expect_err("starved retirement is a livelock");
         assert_eq!(v.diagnostic.code, "RCH002");
         let ce = v.counterexample.expect("livelocks carry a counterexample");
+        assert_eq!(
+            ce.mshrs.is_some(),
+            M::KIND == MachineKind::NonBlocking,
+            "non-blocking counterexamples record the MSHR count"
+        );
         assert_eq!(ce.ops.len(), 1, "one store suffices: {:?}", ce.ops);
-        assert!(ce.ops.iter().all(|op| matches!(op, Op::Store(_))));
-        assert!(check_liveness_sequence(&ce.config, &ce.ops));
+        assert!(matches!(ce.ops[0], Op::Store(_)));
+        assert!(check_liveness_sequence::<M>(&ce.config, ce.mshrs, &ce.ops));
         for i in 0..ce.ops.len() {
             let mut fewer = ce.ops.clone();
             fewer.remove(i);
             assert!(
-                !check_liveness_sequence(&ce.config, &fewer),
+                !check_liveness_sequence::<M>(&ce.config, ce.mshrs, &fewer),
                 "livelock counterexample is not minimal: op {i} is removable"
             );
         }
-        assert!(!ce.trace.is_empty());
-        for line in &ce.trace {
-            let ev: Result<Event, EventParseError> = Event::from_json(line);
-            ev.expect("livelock trace must be valid JSONL");
-        }
+        assert_replayable(&ce.trace);
+    }
+
+    #[test]
+    fn starved_retirement_yields_minimized_replayable_livelock_counterexample_on_both_machines() {
+        assert_starved_livelock_counterexample::<Machine>();
+        assert_starved_livelock_counterexample::<NonBlockingMachine>();
     }
 
     #[test]
@@ -1342,35 +918,34 @@ mod tests {
         // bounded checker at any N sees nothing wrong. Only the drain-graph
         // cycle analysis exposes the livelock — and a single store suffices.
         let cfg = starve_config(2, 2);
-        let v = check_reach_config(&cfg).expect_err("buffered entries never retire");
+        let v = check_reach_point::<Machine>(&cfg, None).expect_err("entries never retire");
         assert_eq!(v.diagnostic.code, "RCH002");
         let ce = v.counterexample.expect("livelocks carry a counterexample");
         assert_eq!(ce.ops.len(), 1, "one store suffices: {:?}", ce.ops);
         assert!(matches!(ce.ops[0], Op::Store(_)));
         // The bounded checker is blind to it: every short sequence is clean.
-        assert!(first_violating_sequence(&cfg, 3, &|| false).is_none());
+        assert!(first_violating_sequence::<Machine>(&cfg, None, 3, &|| false).is_none());
     }
 
     #[test]
     fn liveness_predicate_is_clean_on_healthy_configs() {
         let mut cfg = MachineConfig::baseline();
         cfg.check_data = false;
-        assert!(!check_liveness_sequence(&cfg, &[Op::Store(a(0, 0))]));
-        assert!(!check_liveness_sequence(
+        let live =
+            |cfg: &MachineConfig, ops: &[Op]| check_liveness_sequence::<Machine>(cfg, None, ops);
+        assert!(!live(&cfg, &[Op::Store(a(0, 0))]));
+        assert!(!live(
             &cfg,
             &[Op::Store(a(0, 0)), Op::Store(a(1, 0)), Op::Load(a(0, 1))]
         ));
-        assert!(check_liveness_sequence(
-            &starve_config(2, 2),
-            &[Op::Store(a(0, 0))]
-        ));
+        assert!(live(&starve_config(2, 2), &[Op::Store(a(0, 0))]));
     }
 
     #[test]
     fn unabstractable_configs_are_rejected_with_rch003() {
         let mut cfg = MachineConfig::baseline();
         cfg.write_buffer.order = RetirementOrder::Lru;
-        let v = check_reach_config(&cfg).expect_err("LRU order is time-dependent");
+        let v = check_reach_point::<Machine>(&cfg, None).expect_err("LRU order is time-dependent");
         assert_eq!(v.diagnostic.code, "RCH003");
         assert!(v.counterexample.is_none());
         assert_eq!(v.diagnostic.field_path, "write_buffer.order");
@@ -1378,7 +953,7 @@ mod tests {
         let mut cfg = MachineConfig::baseline();
         cfg.write_buffer.max_age = Some(64);
         assert_eq!(
-            check_reach_config(&cfg)
+            check_reach_point::<Machine>(&cfg, None)
                 .expect_err("max-age")
                 .diagnostic
                 .code,
@@ -1386,8 +961,10 @@ mod tests {
         );
 
         // The whole bounded grid is abstractable by construction.
-        for cfg in bounded_configs(None) {
-            assert!(gate(&cfg).is_ok());
+        for kind in MachineKind::ALL {
+            for (cfg, _) in CheckGrid::new(kind, None, None).unwrap().points() {
+                assert!(gate(cfg).is_ok());
+            }
         }
     }
 
@@ -1453,7 +1030,7 @@ mod tests {
         ];
         for (cfg, field, needle) in cases {
             cfg.validate().expect("each case is a valid configuration");
-            let v = check_reach_config(&cfg).expect_err(field);
+            let v = check_reach_point::<Machine>(&cfg, None).expect_err(field);
             assert_eq!(v.diagnostic.code, "RCH003", "{field}");
             assert_eq!(v.diagnostic.field_path, field);
             let suggestion = v
@@ -1480,10 +1057,10 @@ mod tests {
             cfg.write_buffer.hazard = LoadHazardPolicy::ReadFromWb;
             cfg.check_data = false;
             cfg.validate().expect("sub-line widths are valid");
-            let stats = check_reach_config(&cfg)
+            let stats = check_reach_point::<Machine>(&cfg, None)
                 .unwrap_or_else(|v| panic!("width {width} blocking: {:?}", v.diagnostic));
             assert!(stats.states > 1, "width {width}: exploration is degenerate");
-            let nb = check_reach_config_nonblocking(&cfg, 2)
+            let nb = check_reach_point::<NonBlockingMachine>(&cfg, Some(2))
                 .unwrap_or_else(|v| panic!("width {width} non-blocking: {:?}", v.diagnostic));
             assert!(nb.states > 1, "width {width}: NB exploration is degenerate");
             // Narrower blocks split lines into more distinct entries, so
@@ -1492,105 +1069,6 @@ mod tests {
                 nb.states >= stats.states.min(nb.states),
                 "sanity: both explorations are populated"
             );
-        }
-    }
-
-    #[test]
-    fn nonblocking_grid_reach_is_clean() {
-        let report =
-            check_reach_nonblocking(None, None).expect("the non-blocking design space is clean");
-        // 10 depth/high-water shapes (hazard pinned to read-from-WB) x
-        // MSHR counts 1-4.
-        assert_eq!(report.configs, 40);
-        assert_eq!(report.sequences, 0, "reach does not enumerate sequences");
-        assert!(
-            report.states_explored >= 400,
-            "suspiciously small exploration: {} states",
-            report.states_explored
-        );
-        assert!(report.edges >= report.states_explored);
-        assert!(report.sccs > 0, "drain graphs were explored");
-    }
-
-    #[test]
-    fn nonblocking_parallel_and_serial_reach_runs_agree() {
-        let mut one = check_reach_nonblocking_jobs(None, Some(2), 1).expect("clean grid");
-        let mut four = check_reach_nonblocking_jobs(None, Some(2), 4).expect("clean grid");
-        one.wall_ms = 0;
-        four.wall_ms = 0;
-        assert_eq!(one, four);
-    }
-
-    #[test]
-    fn nonblocking_reach_agrees_with_bounded_on_every_configuration() {
-        // Cross-validation, as for the blocking pair: on every shared
-        // (configuration, MSHR count), the bounded NB checker (N=3) and the
-        // NB reachability checker must agree on whether the design is dirty.
-        for fault in [None, Some(FaultInjection::SkipWbForwarding)] {
-            for (cfg, m) in nonblocking_configs(fault, None) {
-                let bounded_dirty =
-                    first_violating_sequence_nonblocking(&cfg, m, 3, &|| false).is_some();
-                let reach = check_reach_config_nonblocking(&cfg, m);
-                assert_eq!(
-                    bounded_dirty,
-                    reach.is_err(),
-                    "NB bounded and reach disagree on depth {} hw {:?} mshrs {m} fault {:?}",
-                    cfg.write_buffer.depth,
-                    cfg.write_buffer.retirement,
-                    fault
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn nonblocking_skip_wb_fault_yields_minimized_replayable_counterexample() {
-        let v = check_reach_nonblocking(Some(FaultInjection::SkipWbForwarding), None)
-            .expect_err("skipping WB forwarding must violate freshness on the NB machine");
-        assert_eq!(v.diagnostic.code, "RCH001");
-        let ce = v.counterexample.expect("safety violations carry one");
-        let mshrs = ce.mshrs.expect("NB counterexamples record the MSHR count");
-        assert!(!ce.ops.is_empty());
-        // 1-minimal under the bounded NB sequence checker.
-        for i in 0..ce.ops.len() {
-            let mut fewer = ce.ops.clone();
-            fewer.remove(i);
-            assert!(
-                check_sequence_nonblocking(&ce.config, mshrs, &fewer).is_ok(),
-                "counterexample is not minimal: op {i} is removable"
-            );
-        }
-        assert!(!ce.trace.is_empty());
-        for line in &ce.trace {
-            let ev: Result<Event, EventParseError> = Event::from_json(line);
-            ev.expect("counterexample trace must be valid JSONL");
-        }
-    }
-
-    #[test]
-    fn nonblocking_starved_retirement_yields_livelock_counterexample() {
-        let v = check_reach_nonblocking(Some(FaultInjection::StarveRetirement), None)
-            .expect_err("starved retirement is a livelock on the NB machine too");
-        assert_eq!(v.diagnostic.code, "RCH002");
-        let ce = v.counterexample.expect("livelocks carry a counterexample");
-        let mshrs = ce.mshrs.expect("NB counterexamples record the MSHR count");
-        assert_eq!(ce.ops.len(), 1, "one store suffices: {:?}", ce.ops);
-        assert!(matches!(ce.ops[0], Op::Store(_)));
-        assert!(check_liveness_sequence_nonblocking(
-            &ce.config, mshrs, &ce.ops
-        ));
-        for i in 0..ce.ops.len() {
-            let mut fewer = ce.ops.clone();
-            fewer.remove(i);
-            assert!(
-                !check_liveness_sequence_nonblocking(&ce.config, mshrs, &fewer),
-                "livelock counterexample is not minimal: op {i} is removable"
-            );
-        }
-        assert!(!ce.trace.is_empty());
-        for line in &ce.trace {
-            let ev: Result<Event, EventParseError> = Event::from_json(line);
-            ev.expect("livelock trace must be valid JSONL");
         }
     }
 }

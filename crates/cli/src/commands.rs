@@ -5,20 +5,17 @@ use std::fs::File;
 use std::io::{self, BufRead as _, BufReader, BufWriter};
 
 use wbsim_check::{
-    builtin_library, check_exhaustive_jobs, check_exhaustive_nonblocking_jobs,
-    check_props_reach_jobs, check_props_reach_nonblocking_jobs, check_reach_jobs,
-    check_reach_nonblocking_jobs, check_refine_jobs, check_refine_nonblocking_jobs, compile_props,
-    default_jobs, first_divergence, lint_config, lint_nonblocking, parse_error_diagnostic,
-    parse_props, read_event_stream, Counterexample, PropEnv, PropRunner, PropSet, SchedOptions,
+    builtin_library, check_exhaustive, check_props_reach, check_reach, check_refine, compile_props,
+    default_jobs, first_divergence, lint_machine, parse_error_diagnostic, parse_props,
+    read_event_stream, CheckGrid, Counterexample, PropEnv, PropRunner, PropSet, SchedOptions,
 };
 use wbsim_experiments::harness::{pool_cells_jobs, Harness};
 use wbsim_experiments::{ablations, figures, render, tables};
 use wbsim_jobs::sched::{replay_mismatch, replay_sched, run_sched, SchedFault};
 use wbsim_jobs::{
-    CheckConfig, CheckSpec, Executor, FigureFormat, JobKind, MachineSel, Manifest,
-    Options as JobOptions, Store,
+    CheckConfig, CheckSpec, Executor, FigureFormat, JobKind, Manifest, Options as JobOptions, Store,
 };
-use wbsim_sim::{Event, Machine, Observer};
+use wbsim_sim::{Event, Machine, MachineKind, Observer};
 use wbsim_trace::bench_models::BenchmarkModel;
 use wbsim_trace::file as trace_file;
 use wbsim_trace::stats::TraceStats;
@@ -737,12 +734,9 @@ impl<W: io::Write> Observer for JsonlWriter<W> {
 }
 
 fn cmd_trace(p: &Parsed) -> CmdResult {
-    let sub = p
-        .positionals
-        .get(1)
-        .ok_or_else(|| {
-            ArgError("trace: gen | synth | stats | run | events | validate | diff".into())
-        })?;
+    let sub = p.positionals.get(1).ok_or_else(|| {
+        ArgError("trace: gen | synth | stats | run | events | validate | diff".into())
+    })?;
     match sub.as_str() {
         "gen" => {
             let bench_name = p
@@ -937,14 +931,12 @@ fn cmd_trace(p: &Parsed) -> CmdResult {
             Ok(())
         }
         "diff" => {
-            let a = p
-                .positionals
-                .get(2)
-                .ok_or_else(|| ArgError("trace diff: two files required (one may be `-`)".into()))?;
-            let b = p
-                .positionals
-                .get(3)
-                .ok_or_else(|| ArgError("trace diff: two files required (one may be `-`)".into()))?;
+            let a = p.positionals.get(2).ok_or_else(|| {
+                ArgError("trace diff: two files required (one may be `-`)".into())
+            })?;
+            let b = p.positionals.get(3).ok_or_else(|| {
+                ArgError("trace diff: two files required (one may be `-`)".into())
+            })?;
             if a == "-" && b == "-" {
                 return Err(ArgError("trace diff: at most one side may be `-`".into()).into());
             }
@@ -1032,20 +1024,16 @@ fn config_for_lint(p: &Parsed) -> Result<(Option<MachineConfig>, Vec<Diagnostic>
     Ok((Some(cfg), Vec::new()))
 }
 
-/// Which machine the model checkers drive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CheckMachine {
-    Blocking,
-    NonBlocking,
-}
-
-fn check_machine_from(p: &Parsed) -> Result<CheckMachine, ArgError> {
-    match p.options.get("machine").map(String::as_str) {
-        None | Some("blocking") => Ok(CheckMachine::Blocking),
-        Some("nonblocking" | "non-blocking") => Ok(CheckMachine::NonBlocking),
-        Some(other) => Err(ArgError(format!(
-            "unknown machine {other:?} (try blocking or nonblocking)"
-        ))),
+/// Which machine the model checkers drive (`--machine`, default
+/// blocking).
+fn check_machine_from(p: &Parsed) -> Result<MachineKind, ArgError> {
+    match p.options.get("machine") {
+        None => Ok(MachineKind::Blocking),
+        Some(name) => MachineKind::from_name(name).ok_or_else(|| {
+            ArgError(format!(
+                "unknown machine {name:?} (try blocking or nonblocking)"
+            ))
+        }),
     }
 }
 
@@ -1206,10 +1194,7 @@ fn lint_diagnostics(p: &Parsed) -> Result<Vec<Diagnostic>, Box<dyn Error>> {
     let mshrs = check_mshrs_from(p)?;
     let (cfg, mut diags) = config_for_lint(p)?;
     if let Some(cfg) = cfg {
-        diags.extend(match machine {
-            CheckMachine::Blocking => lint_config(&cfg),
-            CheckMachine::NonBlocking => lint_nonblocking(&cfg, mshrs.unwrap_or(1)),
-        });
+        diags.extend(lint_machine(machine, &cfg, mshrs));
     }
     Ok(diags)
 }
@@ -1313,7 +1298,6 @@ fn cmd_check_json(p: &Parsed) -> CmdResult {
         )
         .into());
     }
-    let machine = check_machine_from(p)?;
     // Under --sched, --fault names a host-concurrency fault; otherwise it
     // names a machine fault injection as always.
     let sched = p.has_flag("sched");
@@ -1329,10 +1313,7 @@ fn cmd_check_json(p: &Parsed) -> CmdResult {
         exhaustive: p.has_flag("exhaustive"),
         reach: p.has_flag("reach"),
         refine: p.has_flag("refine"),
-        machine: match machine {
-            CheckMachine::Blocking => MachineSel::Blocking,
-            CheckMachine::NonBlocking => MachineSel::NonBlocking,
-        },
+        machine: check_machine_from(p)?,
         mshrs: check_mshrs_from(p)?,
         max_ops: p.get_or("max-ops", 5u32)?,
         fault,
@@ -1457,37 +1438,31 @@ fn report_counterexample(p: &Parsed, ce: &Counterexample, violation: &str) -> Cm
     Ok(())
 }
 
-/// What a clean human-mode report labels the machine under check.
-fn machine_label(machine: CheckMachine, mshrs: Option<usize>) -> String {
-    match machine {
-        CheckMachine::Blocking => "blocking machine".to_string(),
-        CheckMachine::NonBlocking => match mshrs {
-            Some(m) => format!("non-blocking machine, {m} MSHRs"),
-            None => "non-blocking machine, 1-4 MSHRs".to_string(),
-        },
-    }
+/// The checker grid `--machine`, `--mshrs` and `--fault` select, with the
+/// label a clean human-mode report gives the machine under check.
+fn check_grid_from(p: &Parsed) -> Result<(CheckGrid, String), ArgError> {
+    let kind = check_machine_from(p)?;
+    let mshrs = check_mshrs_from(p)?;
+    let grid = CheckGrid::new(kind, fault_from(p)?, mshrs)
+        .map_err(|e| ArgError(format!("bad --mshrs: {e}")))?;
+    let label = match (kind, mshrs) {
+        (MachineKind::Blocking, _) => "blocking machine".to_string(),
+        (MachineKind::NonBlocking, Some(m)) => format!("non-blocking machine, {m} MSHRs"),
+        (MachineKind::NonBlocking, None) => "non-blocking machine, 1-4 MSHRs".to_string(),
+    };
+    Ok((grid, label))
 }
 
 fn cmd_check_exhaustive(p: &Parsed) -> CmdResult {
     let max_ops = p.get_or("max-ops", 5u32)?;
-    let fault = fault_from(p)?;
     let jobs = p.get_or("jobs", default_jobs())?;
-    let machine = check_machine_from(p)?;
-    let mshrs = check_mshrs_from(p)?;
-    let result = match machine {
-        CheckMachine::Blocking => check_exhaustive_jobs(max_ops, fault, jobs),
-        CheckMachine::NonBlocking => check_exhaustive_nonblocking_jobs(max_ops, fault, mshrs, jobs),
-    };
-    match result {
+    let (grid, label) = check_grid_from(p)?;
+    match check_exhaustive(&grid, max_ops, jobs) {
         Ok(report) => {
             println!(
                 "bounded exhaustive check clean ({}): {} runs ({} configurations x {} op \
                  sequences of length 1..={max_ops}) in {} ms, no invariant violations",
-                machine_label(machine, mshrs),
-                report.runs,
-                report.configs,
-                report.sequences,
-                report.wall_ms
+                label, report.runs, report.configs, report.sequences, report.wall_ms
             );
             Ok(())
         }
@@ -1499,22 +1474,16 @@ fn cmd_check_exhaustive(p: &Parsed) -> CmdResult {
 }
 
 fn cmd_check_reach(p: &Parsed) -> CmdResult {
-    let fault = fault_from(p)?;
     let jobs = p.get_or("jobs", default_jobs())?;
-    let machine = check_machine_from(p)?;
-    let mshrs = check_mshrs_from(p)?;
-    let result = match machine {
-        CheckMachine::Blocking => check_reach_jobs(fault, jobs),
-        CheckMachine::NonBlocking => check_reach_nonblocking_jobs(fault, mshrs, jobs),
-    };
-    match result {
+    let (grid, label) = check_grid_from(p)?;
+    match check_reach(&grid, jobs) {
         Ok(report) => {
             println!(
                 "reachability check clean ({}): {} configurations, {} abstract states, \
                  {} transitions, {} drain-graph SCCs (all progressing) in {} ms; \
                  every safety invariant holds at every reachable state and no \
                  livelock exists",
-                machine_label(machine, mshrs),
+                label,
                 report.configs,
                 report.states_explored,
                 report.edges,
@@ -1537,26 +1506,16 @@ fn cmd_check_reach(p: &Parsed) -> CmdResult {
 }
 
 fn cmd_check_refine(p: &Parsed) -> CmdResult {
-    let fault = fault_from(p)?;
     let jobs = p.get_or("jobs", default_jobs())?;
-    let machine = check_machine_from(p)?;
-    let mshrs = check_mshrs_from(p)?;
-    let result = match machine {
-        CheckMachine::Blocking => check_refine_jobs(fault, jobs),
-        CheckMachine::NonBlocking => check_refine_nonblocking_jobs(fault, mshrs, jobs),
-    };
-    match result {
+    let (grid, label) = check_grid_from(p)?;
+    match check_refine(&grid, jobs) {
         Ok(report) => {
             println!(
                 "refinement check clean ({}): {} configurations, {} abstract pair-states, \
                  {} product transitions in {} ms; the event-driven and reference engines \
                  produce identical event streams and clock advances at every reachable \
                  state, for op sequences of any length",
-                machine_label(machine, mshrs),
-                report.configs,
-                report.states_explored,
-                report.edges,
-                report.wall_ms
+                label, report.configs, report.states_explored, report.edges, report.wall_ms
             );
             Ok(())
         }
@@ -1605,10 +1564,7 @@ fn load_prop_set(p: &Parsed) -> Result<PropSet, Box<dyn Error>> {
 fn prop_env_from(p: &Parsed) -> Result<PropEnv, Box<dyn Error>> {
     let mut env = PropEnv::unbound();
     if p.options.contains_key("machine") {
-        env.machine = Some(match check_machine_from(p)? {
-            CheckMachine::Blocking => "blocking",
-            CheckMachine::NonBlocking => "nonblocking",
-        });
+        env.machine = Some(check_machine_from(p)?.name());
     }
     if let Some(v) = p.options.get("depth") {
         env.depth = Some(
@@ -1631,23 +1587,17 @@ fn prop_env_from(p: &Parsed) -> Result<PropEnv, Box<dyn Error>> {
 }
 
 fn cmd_check_prop(p: &Parsed) -> CmdResult {
-    let fault = fault_from(p)?;
     let jobs = p.get_or("jobs", default_jobs())?;
-    let machine = check_machine_from(p)?;
-    let mshrs = check_mshrs_from(p)?;
+    let (grid, label) = check_grid_from(p)?;
     let set = load_prop_set(p)?;
-    let result = match machine {
-        CheckMachine::Blocking => check_props_reach_jobs(&set, fault, jobs),
-        CheckMachine::NonBlocking => check_props_reach_nonblocking_jobs(&set, fault, mshrs, jobs),
-    };
-    match result {
+    match check_props_reach(&grid, &set, jobs) {
         Ok(report) => {
             println!(
                 "property check clean ({}): {} properties over {} configurations, \
                  {} product states, {} transitions in {} ms; every safety property \
                  holds at every reachable state and every liveness obligation is \
                  discharged",
-                machine_label(machine, mshrs),
+                label,
                 report.properties,
                 report.configs,
                 report.states_explored,
@@ -2188,6 +2138,50 @@ wb.retirement = retire-at-8
             "0"
         ]))
         .is_err());
+    }
+
+    #[test]
+    fn check_rejects_mshrs_outside_the_checker_grid() {
+        // The grid sweeps 1-4 MSHRs; a count outside it would leave every
+        // pass an empty, vacuously clean grid.
+        for pass in ["--exhaustive", "--reach", "--refine", "--prop"] {
+            let err = dispatch(&v(&[
+                "check",
+                pass,
+                "--machine",
+                "nonblocking",
+                "--mshrs",
+                "5",
+                "--max-ops",
+                "1",
+            ]))
+            .expect_err(pass);
+            assert!(err.downcast_ref::<ArgError>().is_some(), "{pass}: {err}");
+            assert!(
+                err.to_string().contains("outside the checker grid"),
+                "{pass}: {err}"
+            );
+        }
+        // The JSON front end goes through manifest validation instead.
+        let err = dispatch(&v(&[
+            "check",
+            "--json",
+            "--refine",
+            "--machine",
+            "nonblocking",
+            "--mshrs",
+            "9",
+        ]))
+        .expect_err("json refine");
+        assert!(
+            err.to_string().contains("outside the checker grid"),
+            "{err}"
+        );
+        // Lint-only runs still lint any count: LNT006 flags it.
+        let args = v(&["check", "--machine", "nonblocking", "--mshrs", "9"]);
+        let diags = lint_diagnostics(&parse(&args).unwrap()).unwrap();
+        assert!(diags.iter().any(|d| d.code == "LNT006"), "{diags:?}");
+        assert!(dispatch(&args).is_ok());
     }
 
     #[test]

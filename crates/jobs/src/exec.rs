@@ -12,11 +12,8 @@
 use std::sync::Arc;
 
 use wbsim_check::{
-    builtin_library, check_exhaustive_jobs, check_exhaustive_nonblocking_jobs,
-    check_props_reach_jobs, check_props_reach_nonblocking_jobs, check_reach_jobs,
-    check_reach_nonblocking_jobs, check_refine_jobs, check_refine_nonblocking_jobs, default_jobs,
-    lint_config, lint_nonblocking,
-    parse_error_diagnostic, parse_props, Counterexample,
+    builtin_library, check_exhaustive, check_props_reach, check_reach, check_refine, default_jobs,
+    lint_machine, parse_error_diagnostic, parse_props, CheckGrid, Counterexample,
 };
 use wbsim_experiments::harness::FigureResult;
 use wbsim_experiments::{figures, render, tables};
@@ -29,7 +26,7 @@ use wbsim_types::json::escape;
 use wbsim_types::policy::RetirementPolicy;
 use wbsim_types::CacheKey;
 
-use crate::manifest::{CheckSpec, JobKind, MachineSel, Manifest, Options};
+use crate::manifest::{CheckSpec, JobKind, Manifest, Options};
 use crate::store::{Artifact, JobOutcome, Store};
 
 /// What a submission came back with.
@@ -286,10 +283,7 @@ fn lint_section(spec: &CheckSpec) -> Vec<Diagnostic> {
         }
     };
     if let Some(cfg) = cfg {
-        diags.extend(match spec.machine {
-            MachineSel::Blocking => lint_config(&cfg),
-            MachineSel::NonBlocking => lint_nonblocking(&cfg, spec.mshrs.unwrap_or(1)),
-        });
+        diags.extend(lint_machine(spec.machine, &cfg, spec.mshrs));
     }
     diags
 }
@@ -302,17 +296,14 @@ fn run_check(spec: &CheckSpec, opts: &Options) -> JobOutcome {
     };
     let diags = lint_section(spec);
     let mut failed = any_errors(&diags);
+    // `Manifest::validate` rejects out-of-grid MSHR counts whenever a
+    // checker pass runs, so only lint-only specs reach here with one.
+    let grid = || CheckGrid::new(spec.machine, spec.fault, spec.mshrs).expect("validated mshrs");
     let mut cells = 0u64;
     let mut counterexamples = Vec::new();
 
     let exhaustive = if spec.exhaustive {
-        let result = match spec.machine {
-            MachineSel::Blocking => check_exhaustive_jobs(spec.max_ops, spec.fault, jobs),
-            MachineSel::NonBlocking => {
-                check_exhaustive_nonblocking_jobs(spec.max_ops, spec.fault, spec.mshrs, jobs)
-            }
-        };
-        Some(match result {
+        Some(match check_exhaustive(&grid(), spec.max_ops, jobs) {
             Ok(report) => {
                 cells += report.runs;
                 format!("{{\"status\":\"clean\",\"report\":{}}}", report.to_json())
@@ -331,11 +322,7 @@ fn run_check(spec: &CheckSpec, opts: &Options) -> JobOutcome {
     };
 
     let reach = if spec.reach {
-        let result = match spec.machine {
-            MachineSel::Blocking => check_reach_jobs(spec.fault, jobs),
-            MachineSel::NonBlocking => check_reach_nonblocking_jobs(spec.fault, spec.mshrs, jobs),
-        };
-        Some(match result {
+        Some(match check_reach(&grid(), jobs) {
             Ok(report) => {
                 cells += report.configs;
                 format!("{{\"status\":\"clean\",\"report\":{}}}", report.to_json())
@@ -358,6 +345,7 @@ fn run_check(spec: &CheckSpec, opts: &Options) -> JobOutcome {
     let properties = if spec.props {
         Some(prop_section(
             spec,
+            &grid(),
             jobs,
             &mut failed,
             &mut cells,
@@ -368,13 +356,7 @@ fn run_check(spec: &CheckSpec, opts: &Options) -> JobOutcome {
     };
 
     let refine = if spec.refine {
-        let result = match spec.machine {
-            MachineSel::Blocking => check_refine_jobs(spec.fault, jobs),
-            MachineSel::NonBlocking => {
-                check_refine_nonblocking_jobs(spec.fault, spec.mshrs, jobs)
-            }
-        };
-        Some(match result {
+        Some(match check_refine(&grid(), jobs) {
             Ok(report) => {
                 cells += report.configs;
                 format!("{{\"status\":\"clean\",\"report\":{}}}", report.to_json())
@@ -439,6 +421,7 @@ fn run_check(spec: &CheckSpec, opts: &Options) -> JobOutcome {
 /// renders as `"invalid"` with the parser's structured diagnostics.
 fn prop_section(
     spec: &CheckSpec,
+    grid: &CheckGrid,
     jobs: usize,
     failed: &mut bool,
     cells: &mut u64,
@@ -458,13 +441,7 @@ fn prop_section(
         },
         None => builtin_library(),
     };
-    let result = match spec.machine {
-        MachineSel::Blocking => check_props_reach_jobs(&set, spec.fault, jobs),
-        MachineSel::NonBlocking => {
-            check_props_reach_nonblocking_jobs(&set, spec.fault, spec.mshrs, jobs)
-        }
-    };
-    match result {
+    match check_props_reach(grid, &set, jobs) {
         Ok(report) => {
             *cells += report.configs;
             format!("{{\"status\":\"clean\",\"report\":{}}}", report.to_json())

@@ -31,9 +31,7 @@ pub mod serve;
 pub mod store;
 
 pub use exec::{execute, merged_check_json, Executor, JobResult};
-pub use manifest::{
-    CheckConfig, CheckSpec, FigureFormat, JobKind, MachineSel, Manifest, Options, SCHEMA,
-};
+pub use manifest::{CheckConfig, CheckSpec, FigureFormat, JobKind, Manifest, Options, SCHEMA};
 pub use sched::{replay_sched, run_sched, SchedFault, SchedReport};
 pub use serve::{serve, DEFAULT_ADDR, DEFAULT_WORKERS, TEST_PANIC_ENV};
 pub use store::{Artifact, JobOutcome, Store, StoreStats};

@@ -21,42 +21,13 @@ use wbsim_types::json::{escape, parse, Json};
 use wbsim_types::policy::LoadHazardPolicy;
 use wbsim_types::{CacheKey, KeyHasher};
 
-use wbsim_sim::Engine;
+use wbsim_check::CheckGrid;
+use wbsim_sim::{Engine, MachineKind};
 
 use crate::sched::SchedFault;
 
 /// Schema tag of the manifest wire format. Bump on any field change.
 pub const SCHEMA: &str = "wbsim-job/1";
-
-/// Which machine the model checkers drive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MachineSel {
-    /// The blocking-load machine of the paper's main sections.
-    Blocking,
-    /// The non-blocking (MSHR) machine.
-    NonBlocking,
-}
-
-impl MachineSel {
-    /// Wire token (`blocking` / `nonblocking`).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            MachineSel::Blocking => "blocking",
-            MachineSel::NonBlocking => "nonblocking",
-        }
-    }
-
-    /// Parses a wire token, accepting the CLI's `non-blocking` spelling.
-    #[must_use]
-    pub fn from_name(s: &str) -> Option<Self> {
-        match s {
-            "blocking" => Some(MachineSel::Blocking),
-            "nonblocking" | "non-blocking" => Some(MachineSel::NonBlocking),
-            _ => None,
-        }
-    }
-}
 
 /// Wire token for an [`Engine`] variant.
 #[must_use]
@@ -148,7 +119,7 @@ pub struct CheckSpec {
     /// Run the cross-engine refinement pass.
     pub refine: bool,
     /// Which machine the model checkers drive.
-    pub machine: MachineSel,
+    pub machine: MachineKind,
     /// Pinned MSHR count for the non-blocking machine (`None` = 1..4).
     pub mshrs: Option<usize>,
     /// Op-sequence length bound for the exhaustive pass.
@@ -178,7 +149,7 @@ impl Default for CheckSpec {
             exhaustive: false,
             reach: false,
             refine: false,
-            machine: MachineSel::Blocking,
+            machine: MachineKind::Blocking,
             mshrs: None,
             max_ops: 5,
             fault: None,
@@ -469,12 +440,19 @@ impl Manifest {
                         "a config file and override fields are mutually exclusive".to_string(),
                     ));
                 }
+                let grid_pass = spec.exhaustive || spec.reach || spec.refine || spec.props;
                 if spec.mshrs == Some(0) {
                     out.push(diag(
                         "JOB013",
                         "spec.mshrs",
                         "mshrs must be >= 1 (omit to sweep 1-4)".to_string(),
                     ));
+                } else if grid_pass {
+                    // A lint-only job may name any count; a checker pass
+                    // needs one inside the grid.
+                    if let Err(msg) = CheckGrid::new(spec.machine, None, spec.mshrs) {
+                        out.push(diag("JOB013", "spec.mshrs", msg));
+                    }
                 }
             }
             JobKind::Bench { samples } => {
@@ -801,7 +779,7 @@ fn parse_spec(tag: &str, spec: Option<&Json>, errs: &mut Vec<Diagnostic>) -> Opt
                 ..CheckSpec::default()
             };
             if let Some(m) = str_of("machine", errs) {
-                match MachineSel::from_name(&m) {
+                match MachineKind::from_name(&m) {
                     Some(sel) => s.machine = sel,
                     None => errs.push(diag(
                         "JOB005",
@@ -972,7 +950,7 @@ mod tests {
                 kind: JobKind::Check(CheckSpec {
                     exhaustive: true,
                     refine: true,
-                    machine: MachineSel::NonBlocking,
+                    machine: MachineKind::NonBlocking,
                     mshrs: Some(2),
                     max_ops: 3,
                     fault: Some(FaultInjection::OvershootSkip),
@@ -1047,6 +1025,31 @@ mod tests {
             );
             assert!(errs.iter().all(|d| d.severity == Severity::Error));
         }
+    }
+
+    #[test]
+    fn checker_passes_reject_mshrs_outside_the_grid() {
+        let check = |spec: &str| {
+            Manifest::from_json(&format!(
+                "{{\"schema\":\"wbsim-job/1\",\"kind\":\"check\",\"spec\":{spec}}}"
+            ))
+        };
+        for pass in ["exhaustive", "reach", "refine", "props"] {
+            let errs = check(&format!(
+                "{{\"{pass}\":true,\"machine\":\"nonblocking\",\"mshrs\":5}}"
+            ))
+            .expect_err(pass);
+            assert!(
+                errs.iter().any(|d| d.code == "JOB013"
+                    && d.field_path == "spec.mshrs"
+                    && d.message.contains("outside the checker grid")),
+                "{pass}: {errs:?}"
+            );
+        }
+        // A lint-only check may name any count (LNT006 advises on it), and
+        // the blocking machine ignores the count.
+        assert!(check("{\"machine\":\"nonblocking\",\"mshrs\":9}").is_ok());
+        assert!(check("{\"reach\":true,\"mshrs\":9}").is_ok());
     }
 
     #[test]

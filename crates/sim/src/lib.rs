@@ -54,6 +54,7 @@ pub mod machine;
 pub mod nonblocking;
 pub mod observer;
 pub mod port;
+pub mod sim_machine;
 pub mod testutil;
 
 pub use event::{Event, EventParseError, PortUse};
@@ -63,3 +64,4 @@ pub use machine::{
 pub use nonblocking::NonBlockingMachine;
 pub use observer::{HistogramObserver, NullObserver, Observer, Tee};
 pub use port::{L2Port, PortOwner};
+pub use sim_machine::{MachineKind, SimMachine};

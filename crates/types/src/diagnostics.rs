@@ -252,7 +252,7 @@ pub static REGISTRY: &[CodeEntry] = &[
     CodeEntry {
         code: "JOB013",
         family: "jobs",
-        summary: "mshrs must be >= 1",
+        summary: "mshrs out of range (>= 1; 1-4 for a checker grid)",
     },
     CodeEntry {
         code: "JOB014",

@@ -18,10 +18,10 @@
 //! in the commit message.
 
 use wbsim::check::{
-    builtin_library, check_exhaustive_jobs, check_exhaustive_nonblocking_jobs,
-    check_props_reach_jobs, check_props_reach_nonblocking_jobs, check_reach_jobs,
-    check_reach_nonblocking_jobs, check_refine_jobs, check_refine_nonblocking_jobs, Counterexample,
+    builtin_library, check_exhaustive, check_props_reach, check_reach, check_refine, CheckGrid,
+    Counterexample,
 };
+use wbsim::sim::MachineKind;
 use wbsim::types::divergence::FaultInjection;
 
 /// Worker threads per grid; results are identical for every count.
@@ -35,6 +35,16 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// The full grid of one machine with `fault` injected.
+fn grid(nonblocking: bool, fault: FaultInjection) -> CheckGrid {
+    let kind = if nonblocking {
+        MachineKind::NonBlocking
+    } else {
+        MachineKind::Blocking
+    };
+    CheckGrid::new(kind, Some(fault), None).expect("full grid")
 }
 
 /// One caught (machine, fault) cell and everything its report shows.
@@ -136,12 +146,9 @@ fn exhaustive_counterexamples_are_pinned() {
         },
     ];
     assert_pinned("exhaustive", &pins, |nonblocking, fault| {
-        let result = if nonblocking {
-            check_exhaustive_nonblocking_jobs(3, Some(fault), None, JOBS)
-        } else {
-            check_exhaustive_jobs(3, Some(fault), JOBS)
-        };
-        result.err().map(|ce| ("", String::new(), ce))
+        check_exhaustive(&grid(nonblocking, fault), 3, JOBS)
+            .err()
+            .map(|ce| ("", String::new(), ce))
     });
 }
 
@@ -194,12 +201,7 @@ fn reach_counterexamples_are_pinned() {
         },
     ];
     assert_pinned("reach", &pins, |nonblocking, fault| {
-        let result = if nonblocking {
-            check_reach_nonblocking_jobs(Some(fault), None, JOBS)
-        } else {
-            check_reach_jobs(Some(fault), JOBS)
-        };
-        let v = result.err()?;
+        let v = check_reach(&grid(nonblocking, fault), JOBS).err()?;
         Some((v.diagnostic.code, v.diagnostic.message, v.counterexample?))
     });
 }
@@ -243,12 +245,7 @@ fn prop_counterexamples_are_pinned() {
     ];
     let set = builtin_library();
     assert_pinned("prop", &pins, |nonblocking, fault| {
-        let result = if nonblocking {
-            check_props_reach_nonblocking_jobs(&set, Some(fault), None, JOBS)
-        } else {
-            check_props_reach_jobs(&set, Some(fault), JOBS)
-        };
-        let v = result.err()?;
+        let v = check_props_reach(&grid(nonblocking, fault), &set, JOBS).err()?;
         Some((v.diagnostic.code, v.diagnostic.message, v.counterexample?))
     });
 }
@@ -280,12 +277,7 @@ fn refine_counterexamples_are_pinned() {
         },
     ];
     assert_pinned("refine", &pins, |nonblocking, fault| {
-        let result = if nonblocking {
-            check_refine_nonblocking_jobs(Some(fault), None, JOBS)
-        } else {
-            check_refine_jobs(Some(fault), JOBS)
-        };
-        let v = result.err()?;
+        let v = check_refine(&grid(nonblocking, fault), JOBS).err()?;
         Some((v.diagnostic.code, v.diagnostic.message, v.counterexample?))
     });
 }

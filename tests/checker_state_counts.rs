@@ -13,16 +13,16 @@
 //!
 //! If a *deliberate* semantic change (a new policy, a timing fix) moves
 //! these numbers, re-record them in the same way these were:
-//! `check_reach_config` on each configuration below, and note the change
+//! `check_reach_point` on each configuration below, and note the change
 //! in the commit message — these pins are a tripwire, not a freeze.
 
 use proptest::prelude::*;
 
 use wbsim::check::{
-    check_exhaustive, check_reach_config, check_reach_config_nonblocking, check_refine_config,
-    check_refine_config_nonblocking, read_event_stream, refine_universe,
+    check_exhaustive, check_reach_point, check_refine_point, default_jobs, read_event_stream,
+    refine_universe, CheckGrid,
 };
-use wbsim::sim::Event;
+use wbsim::sim::{Event, Machine, MachineKind, NonBlockingMachine};
 use wbsim::types::config::MachineConfig;
 use wbsim::types::policy::{LoadHazardPolicy, RetirementPolicy};
 use wbsim::types::Addr;
@@ -62,7 +62,7 @@ fn reach_per_config_state_counts_are_pinned() {
         (ReadFromWb, 4, 4, (51, 408, 339)),
     ];
     for &(hazard, depth, hw, expect) in pins {
-        let s = check_reach_config(&cfg(hazard, depth, hw))
+        let s = check_reach_point::<Machine>(&cfg(hazard, depth, hw), None)
             .unwrap_or_else(|v| panic!("clean config violated: {}", v.diagnostic.render()));
         assert_eq!(
             (s.states, s.edges, s.sccs),
@@ -84,7 +84,7 @@ fn reach_nonblocking_state_counts_are_pinned() {
         (2, (1109, 8872, 1366)),
         (4, (1109, 8872, 1366)),
     ] {
-        let s = check_reach_config_nonblocking(&nb, mshrs)
+        let s = check_reach_point::<NonBlockingMachine>(&nb, Some(mshrs))
             .unwrap_or_else(|v| panic!("clean nb config violated: {}", v.diagnostic.render()));
         assert_eq!(
             (s.states, s.edges, s.sccs),
@@ -123,7 +123,7 @@ fn refine_per_config_pair_state_counts_are_pinned() {
         (ReadFromWb, 4, 2, (627, 6270)),
     ];
     for &(hazard, depth, hw, expect) in pins {
-        let s = check_refine_config(&cfg(hazard, depth, hw))
+        let s = check_refine_point::<Machine>(&cfg(hazard, depth, hw), None)
             .unwrap_or_else(|v| panic!("clean config diverged: {}", v.diagnostic.render()));
         assert_eq!(
             (s.states, s.edges),
@@ -131,7 +131,7 @@ fn refine_per_config_pair_state_counts_are_pinned() {
             "refine counts moved for ({hazard:?}, depth {depth}, retire-at {hw})"
         );
         assert_eq!(s.edges, s.states * universe, "refinement universe is total");
-        let reach = check_reach_config(&cfg(hazard, depth, hw)).expect("clean");
+        let reach = check_reach_point::<Machine>(&cfg(hazard, depth, hw), None).expect("clean");
         assert_eq!(
             s.states, reach.states,
             "pair-states must stay diagonal (== reach states) while the engines agree"
@@ -145,8 +145,12 @@ fn refine_per_config_pair_state_counts_are_pinned() {
 #[test]
 fn refine_nonblocking_pair_state_counts_are_pinned() {
     let nb = cfg(LoadHazardPolicy::ReadFromWb, 2, 1);
-    for (mshrs, expect) in [(1usize, (897u64, 8970u64)), (2, (1109, 11090)), (4, (1109, 11090))] {
-        let s = check_refine_config_nonblocking(&nb, mshrs)
+    for (mshrs, expect) in [
+        (1usize, (897u64, 8970u64)),
+        (2, (1109, 11090)),
+        (4, (1109, 11090)),
+    ] {
+        let s = check_refine_point::<NonBlockingMachine>(&nb, Some(mshrs))
             .unwrap_or_else(|v| panic!("clean nb config diverged: {}", v.diagnostic.render()));
         assert_eq!(
             (s.states, s.edges),
@@ -163,7 +167,9 @@ fn refine_nonblocking_pair_state_counts_are_pinned() {
 /// pins above sample from is itself unchanged.
 #[test]
 fn bounded_checker_universe_is_pinned() {
-    let report = check_exhaustive(4, None).expect("clean grid has no counterexample");
+    let grid = CheckGrid::new(MachineKind::Blocking, None, None).expect("full grid");
+    let report =
+        check_exhaustive(&grid, 4, default_jobs()).expect("clean grid has no counterexample");
     assert_eq!(report.configs, 40);
     assert_eq!(report.sequences, 4680);
     assert_eq!(report.runs, 187_200);

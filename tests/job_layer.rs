@@ -159,7 +159,7 @@ fn check_spec_fields_are_in_the_key() {
     assert_ne!(key, check(&|s| s.reach = true), "reach");
     assert_ne!(
         key,
-        check(&|s| s.machine = wbsim::jobs::MachineSel::NonBlocking),
+        check(&|s| s.machine = wbsim::sim::MachineKind::NonBlocking),
         "machine"
     );
     assert_ne!(key, check(&|s| s.mshrs = Some(2)), "mshrs");
@@ -320,8 +320,10 @@ fn check_artifact_matches_the_merged_document_modulo_timing() {
     let doc = out.artifact_text("check.json").expect("check.json");
     assert!(doc.ends_with('\n'), "CLI prints the document with println!");
     // Re-run the same pass directly and compose the document by hand.
+    let grid = wbsim::check::CheckGrid::new(wbsim::sim::MachineKind::Blocking, None, None)
+        .expect("full grid");
     let report =
-        wbsim::check::check_exhaustive_jobs(2, None, wbsim::check::default_jobs()).expect("clean");
+        wbsim::check::check_exhaustive(&grid, 2, wbsim::check::default_jobs()).expect("clean");
     let direct = format!(
         "{}\n",
         merged_check_json(
@@ -405,7 +407,7 @@ fn wire_round_trip_preserves_the_key() {
                 exhaustive: true,
                 reach: true,
                 mshrs: Some(2),
-                machine: wbsim::jobs::MachineSel::NonBlocking,
+                machine: wbsim::sim::MachineKind::NonBlocking,
                 ..CheckSpec::default()
             }),
             options: Options::default(),

@@ -1,7 +1,7 @@
 //! Property-based cross-check of the two non-blocking oracles: the
 //! bounded model checker's per-sequence verdict
-//! (`wbsim_check::check_sequence_nonblocking`, built on the
-//! `NbInvariantObserver` event-stream observer) against the differential
+//! (`wbsim_check::check_sequence` on the non-blocking machine, built on
+//! the bounded checker's event-stream observer) against the differential
 //! harness (`wbsim_oracle::diff_run_nonblocking`). Both replay the same
 //! sequence on the same MSHR machine and compare it with the untimed
 //! `ArchModel`; they must never disagree about whether a run is clean —
@@ -17,8 +17,9 @@
 
 use proptest::prelude::*;
 
-use wbsim::check::check_sequence_nonblocking;
+use wbsim::check::check_sequence;
 use wbsim::oracle::diff_run_nonblocking;
+use wbsim::sim::NonBlockingMachine;
 use wbsim::trace::strategies::arb_op;
 use wbsim::types::config::{MachineConfig, WriteBufferConfig};
 use wbsim::types::divergence::FaultInjection;
@@ -58,7 +59,7 @@ proptest! {
         let hw = 1 + hw_off % depth;
         let fault = inject.then_some(FaultInjection::SkipWbForwarding);
         let cfg = nb_cfg(depth, hw, fault);
-        let bounded = check_sequence_nonblocking(&cfg, mshrs, &ops);
+        let bounded = check_sequence::<NonBlockingMachine>(&cfg, Some(mshrs), &ops);
         let diff = diff_run_nonblocking(&cfg, mshrs, &ops)
             .expect("read-from-WB configs are valid");
         prop_assert_eq!(
@@ -79,7 +80,7 @@ proptest! {
         mshrs in 1usize..=4,
     ) {
         let cfg = nb_cfg(depth, 2.min(depth), None);
-        prop_assert!(check_sequence_nonblocking(&cfg, mshrs, &ops).is_ok());
+        prop_assert!(check_sequence::<NonBlockingMachine>(&cfg, Some(mshrs), &ops).is_ok());
         prop_assert!(diff_run_nonblocking(&cfg, mshrs, &ops).unwrap().is_ok());
     }
 }
@@ -90,6 +91,6 @@ proptest! {
 fn both_oracles_flag_the_injected_forwarding_fault() {
     let cfg = nb_cfg(4, 2, Some(FaultInjection::SkipWbForwarding));
     let ops = vec![Op::Store(a(0, 0)), Op::Load(a(0, 0))];
-    assert!(check_sequence_nonblocking(&cfg, 1, &ops).is_err());
+    assert!(check_sequence::<NonBlockingMachine>(&cfg, Some(1), &ops).is_err());
     assert!(diff_run_nonblocking(&cfg, 1, &ops).unwrap().is_err());
 }

@@ -5,7 +5,7 @@
 //! concrete machine with monitors attached
 //! ([`wbsim::check::first_prop_violation`]); and unbounded, by exploring
 //! the abstract-state / monitor product to a fixpoint
-//! ([`wbsim::check::check_props_reach_config`]). On every grid cell —
+//! ([`wbsim::check::check_props_reach_point`]). On every grid cell —
 //! (config, machine, mshrs, fault) — the two verdicts must agree: clean
 //! together, or violated together with the *same property* in the *same
 //! class* (safety vs liveness). The library's known witnesses fit inside
@@ -14,10 +14,10 @@
 //! the bounded side to see everything the product proves.
 
 use wbsim::check::{
-    bounded_configs, builtin_library, check_props_reach_config,
-    check_props_reach_config_nonblocking, first_prop_violation, first_prop_violation_nonblocking,
-    nonblocking_configs, PropSet, ReachViolation,
+    builtin_library, check_props_reach_point, first_prop_violation, CheckGrid, PropSet,
+    ReachViolation,
 };
+use wbsim::sim::{Machine, NonBlockingMachine, SimMachine};
 use wbsim::types::divergence::FaultInjection;
 
 const MAX_OPS: u32 = 3;
@@ -59,32 +59,33 @@ fn assert_cell_agrees(
     }
 }
 
-fn agree_on_blocking_grid(fault: Option<FaultInjection>) {
+fn agree_on_grid<M: SimMachine>(fault: Option<FaultInjection>, mshrs: Option<usize>) {
     let set = builtin_library();
-    for cfg in bounded_configs(fault) {
+    for (cfg, m) in CheckGrid::new(M::KIND, fault, mshrs)
+        .expect("grid")
+        .points()
+        .iter()
+        .cloned()
+    {
         let cell = format!(
-            "blocking depth={} hazard={:?} fault={fault:?}",
-            cfg.write_buffer.depth, cfg.write_buffer.hazard
+            "{} depth={} hazard={:?} mshrs={m:?} fault={fault:?}",
+            M::KIND.name(),
+            cfg.write_buffer.depth,
+            cfg.write_buffer.hazard
         );
-        let bounded = first_prop_violation(&cfg, &set, MAX_OPS, &|| false)
+        let bounded = first_prop_violation::<M>(&cfg, m, &set, MAX_OPS, &|| false)
             .map(|(_, v)| (v.property, v.liveness));
-        let unbounded = check_props_reach_config(&cfg, &set).map(|_| ());
+        let unbounded = check_props_reach_point::<M>(&cfg, m, &set).map(|_| ());
         assert_cell_agrees(&cell, &set, bounded, unbounded);
     }
 }
 
+fn agree_on_blocking_grid(fault: Option<FaultInjection>) {
+    agree_on_grid::<Machine>(fault, None);
+}
+
 fn agree_on_nonblocking_grid(fault: Option<FaultInjection>, mshrs: Option<usize>) {
-    let set = builtin_library();
-    for (cfg, m) in nonblocking_configs(fault, mshrs) {
-        let cell = format!(
-            "nonblocking depth={} mshrs={m} fault={fault:?}",
-            cfg.write_buffer.depth
-        );
-        let bounded = first_prop_violation_nonblocking(&cfg, m, &set, MAX_OPS, &|| false)
-            .map(|(_, v)| (v.property, v.liveness));
-        let unbounded = check_props_reach_config_nonblocking(&cfg, m, &set).map(|_| ());
-        assert_cell_agrees(&cell, &set, bounded, unbounded);
-    }
+    agree_on_grid::<NonBlockingMachine>(fault, mshrs);
 }
 
 #[test]

@@ -18,6 +18,7 @@
 use proptest::prelude::*;
 
 use wbsim::check::{compile_props, parse_props, PropEnv};
+use wbsim::sim::MachineKind;
 use wbsim::types::config::MachineConfig;
 use wbsim::types::diagnostics::{registry_entry, Diagnostic, Severity};
 
@@ -118,7 +119,7 @@ proptest! {
         }
         // Compilation never panics; active + skipped partition the set.
         let cfg = MachineConfig::baseline();
-        for env in [PropEnv::blocking(&cfg), PropEnv::unbound()] {
+        for env in [PropEnv::machine(MachineKind::Blocking, &cfg, None), PropEnv::unbound()] {
             let (monitors, skipped) = compile_props(&set, &env);
             prop_assert_eq!(monitors.props().len() + skipped.len(), n);
         }
