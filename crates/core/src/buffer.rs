@@ -15,7 +15,13 @@
 //! probes walk set bits with `trailing_zeros`, so the hot operations —
 //! store merge/allocate, hazard probe, forwarding read — touch no heap and
 //! scan only occupied slots. FIFO (allocation) order is kept separately in
-//! `order_fifo`, since slot indices are reused.
+//! `order_fifo`, since slot indices are reused; its length is the
+//! occupancy.
+//!
+//! Entry data lives in one per-buffer word slab with a line-sized row per
+//! slot. Each block sits at its own offset within its row, so a retiring
+//! entry's row already *is* the line-coordinate data L2 takes, and
+//! [`WriteBuffer::retire`] hands it over as a borrowed slice.
 //!
 //! # Invariant
 //!
@@ -30,7 +36,7 @@ use wbsim_types::config::{ConfigError, WriteBufferConfig};
 use wbsim_types::policy::{LoadHazardPolicy, RetirementOrder};
 use wbsim_types::Cycle;
 
-use crate::entry::{Entry, EntryId, RetiredBlock};
+use crate::entry::{Entry, EntryId, RetiredBlock, RetiredLine};
 
 /// What happened to a store presented to the buffer (paper §2.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,9 +53,11 @@ pub enum StoreOutcome {
 #[derive(Debug, Clone)]
 pub struct WriteBuffer {
     /// Fixed slab of `depth` slots; `occupied` says which hold an entry.
-    /// Slot data (including each entry's word `Vec`) is allocated once and
-    /// reused across tenants, so stores never hit the allocator.
     slots: Vec<Entry>,
+    /// Entry words: row `i` (`words_per_line` words) belongs to `slots[i]`,
+    /// with the block at its offset within the line. Words outside the
+    /// block, and invalid words inside it, stay zero.
+    words: Vec<u64>,
     /// Bit `i` set ⇔ `slots[i]` holds a live entry.
     occupied: u64,
     /// Bit `i` set ⇔ `slots[i]` is mid-retirement (subset of `occupied`).
@@ -59,6 +67,7 @@ pub struct WriteBuffer {
     next_id: EntryId,
     depth: usize,
     width_words: usize,
+    words_per_line: usize,
     blocks_per_line: usize,
     order: RetirementOrder,
     geometry: Geometry,
@@ -72,12 +81,12 @@ impl WriteBuffer {
     /// Returns a [`ConfigError`] if `cfg` is invalid for `geometry`.
     pub fn new(cfg: &WriteBufferConfig, geometry: &Geometry) -> Result<Self, ConfigError> {
         cfg.validate(geometry)?;
+        let words_per_line = geometry.words_per_line();
         let slots = (0..cfg.depth)
             .map(|_| Entry {
                 id: EntryId::MAX,
                 block: u64::MAX,
                 mask: WordMask::empty(),
-                data: vec![0; cfg.width_words],
                 alloc_cycle: 0,
                 last_touch: 0,
                 retiring: false,
@@ -85,13 +94,15 @@ impl WriteBuffer {
             .collect();
         Ok(Self {
             slots,
+            words: vec![0; cfg.depth * words_per_line],
             occupied: 0,
             retiring: 0,
             order_fifo: Vec::with_capacity(cfg.depth),
             next_id: 0,
             depth: cfg.depth,
             width_words: cfg.width_words,
-            blocks_per_line: geometry.words_per_line() / cfg.width_words,
+            words_per_line,
+            blocks_per_line: words_per_line / cfg.width_words,
             order: cfg.order,
             geometry: *geometry,
         })
@@ -101,14 +112,14 @@ impl WriteBuffer {
     #[inline]
     #[must_use]
     pub fn occupancy(&self) -> usize {
-        self.occupied.count_ones() as usize
+        self.order_fifo.len()
     }
 
     /// Whether every entry is occupied.
     #[inline]
     #[must_use]
     pub fn is_full(&self) -> bool {
-        self.occupancy() >= self.depth
+        self.order_fifo.len() >= self.depth
     }
 
     /// Number of free entries.
@@ -128,6 +139,17 @@ impl WriteBuffer {
         self.order_fifo.iter().map(|&s| &self.slots[s as usize])
     }
 
+    /// Iterates over occupied entries in FIFO order, each with its data
+    /// words (`width_words` of them, in block coordinates; only
+    /// `mask`-valid words are meaningful).
+    pub fn iter_with_data(&self) -> impl Iterator<Item = (&Entry, &[u64])> {
+        self.order_fifo.iter().map(|&s| {
+            let e = &self.slots[s as usize];
+            let start = s as usize * self.words_per_line + self.offset_in_line(e.block);
+            (e, &self.words[start..start + self.width_words])
+        })
+    }
+
     /// The block tag covering byte address `a`.
     #[inline]
     #[must_use]
@@ -138,6 +160,18 @@ impl WriteBuffer {
     #[inline]
     fn word_in_block(&self, a: Addr) -> usize {
         (self.geometry.word_addr(a) % self.width_words as u64) as usize
+    }
+
+    /// Index into `words` of the word at `a` within slot `i`'s row.
+    #[inline]
+    fn word_slot(&self, i: usize, a: Addr) -> usize {
+        i * self.words_per_line + self.geometry.word_index(a)
+    }
+
+    /// Offset of `block`'s first word within its line.
+    #[inline]
+    fn offset_in_line(&self, block: u64) -> usize {
+        (block % self.blocks_per_line as u64) as usize * self.width_words
     }
 
     /// Slot index of the non-retiring entry for `block`, if one exists
@@ -165,9 +199,10 @@ impl WriteBuffer {
         // merge ("Stores cannot normally merge into an entry that is being
         // retired", §2.2).
         if let Some(i) = self.nonretiring_slot(block) {
+            let w = self.word_slot(i, a);
+            self.words[w] = value;
             let e = &mut self.slots[i];
             e.mask.set(word);
-            e.data[word] = value;
             e.last_touch = now;
             return StoreOutcome::Merged;
         }
@@ -175,9 +210,9 @@ impl WriteBuffer {
             return StoreOutcome::Full;
         }
         let i = self.alloc_slot(block, now);
-        let e = &mut self.slots[i];
-        e.mask.set(word);
-        e.data[word] = value;
+        let w = self.word_slot(i, a);
+        self.words[w] = value;
+        self.slots[i].mask.set(word);
         debug_assert!(self.check_invariant());
         StoreOutcome::Allocated
     }
@@ -209,11 +244,12 @@ impl WriteBuffer {
         self.order_fifo.push(i as u8);
         let id = self.next_id;
         self.next_id += 1;
+        let wpl = self.words_per_line;
+        self.words[i * wpl..(i + 1) * wpl].fill(0);
         let e = &mut self.slots[i];
         e.id = id;
         e.block = block;
         e.mask = WordMask::empty();
-        e.data.fill(0);
         e.alloc_cycle = now;
         e.last_touch = now;
         e.retiring = false;
@@ -235,35 +271,38 @@ impl WriteBuffer {
             self.blocks_per_line, 1,
             "victim insertion requires line-wide entries"
         );
-        assert!(data.len() >= self.width_words);
+        let wpl = self.words_per_line;
+        assert!(data.len() >= wpl);
         let block = line.as_u64();
-        if let Some(i) = self.nonretiring_slot(block) {
-            let e = &mut self.slots[i];
-            e.mask = WordMask::full(self.width_words);
-            e.data.copy_from_slice(&data[..self.width_words]);
-            e.last_touch = now;
-            return true;
-        }
-        if self.is_full() {
-            return false;
-        }
-        let i = self.alloc_slot(block, now);
-        let e = &mut self.slots[i];
-        e.mask = WordMask::full(self.width_words);
-        e.data.copy_from_slice(&data[..self.width_words]);
+        let i = match self.nonretiring_slot(block) {
+            Some(i) => {
+                self.slots[i].last_touch = now;
+                i
+            }
+            None if self.is_full() => return false,
+            None => self.alloc_slot(block, now),
+        };
+        self.slots[i].mask = WordMask::full(wpl);
+        self.words[i * wpl..(i + 1) * wpl].copy_from_slice(&data[..wpl]);
         debug_assert!(self.check_invariant());
         true
     }
 
+    /// The structural invariants: at most one non-retiring entry per
+    /// block, retiring entries are occupied, and the FIFO order lists
+    /// exactly the occupied slots (so its length is the occupancy).
     fn check_invariant(&self) -> bool {
-        // At most one non-retiring entry per block.
         let mut blocks: Vec<u64> = self
             .iter()
             .filter(|e| !e.retiring)
             .map(|e| e.block)
             .collect();
         blocks.sort_unstable();
+        let fifo_bits = self.order_fifo.iter().fold(0u64, |m, &s| m | 1 << s);
         blocks.windows(2).all(|w| w[0] != w[1])
+            && self.retiring & !self.occupied == 0
+            && self.occupancy() == self.occupied.count_ones() as usize
+            && fifo_bits == self.occupied
     }
 
     #[inline]
@@ -316,13 +355,15 @@ impl WriteBuffer {
         // retiring hit — exactly the newest-first
         // `max_by_key(|e| !e.retiring)` of the unpacked representation.
         let mut fallback = None;
-        for e in self.iter() {
+        for &s in &self.order_fifo {
+            let e = &self.slots[s as usize];
             if e.block == block && e.mask.get(word) {
+                let v = self.words[self.word_slot(s as usize, a)];
                 if !e.retiring {
-                    return Some(e.data[word]);
+                    return Some(v);
                 }
                 if fallback.is_none() {
-                    fallback = Some(e.data[word]);
+                    fallback = Some(v);
                 }
             }
         }
@@ -339,8 +380,9 @@ impl WriteBuffer {
             let e = &self.slots[s as usize];
             if e.block >= first && e.block < last {
                 let base = ((e.block - first) as usize) * self.width_words;
+                let row = &self.words[s as usize * self.words_per_line..];
                 for w in e.mask.iter() {
-                    data[base + w] = e.data[w];
+                    data[base + w] = row[base + w];
                 }
             }
         }
@@ -438,8 +480,9 @@ impl WriteBuffer {
     }
 
     /// Removes entry `id` (its transaction to L2 having completed) and
-    /// returns its contents in line coordinates.
-    pub fn take_retired(&mut self, id: EntryId) -> Option<RetiredBlock> {
+    /// lends out its contents in line coordinates. The data borrows the
+    /// freed slot's row, which stays intact until the next allocation.
+    pub fn retire(&mut self, id: EntryId) -> Option<RetiredLine<'_>> {
         let i = self.slot_of_id(id)?;
         self.occupied &= !(1 << i);
         self.retiring &= !(1 << i);
@@ -449,22 +492,25 @@ impl WriteBuffer {
             .position(|&s| s as usize == i)
             .expect("occupied slot missing from FIFO order");
         self.order_fifo.remove(pos);
+        debug_assert!(self.check_invariant());
         let e = &self.slots[i];
-        let words_per_line = self.geometry.words_per_line();
-        let first_word = e.block * self.width_words as u64;
-        let line = LineAddr::new(first_word / words_per_line as u64);
-        let base = (first_word % words_per_line as u64) as usize;
-        let mut mask = WordMask::empty();
-        let mut data = vec![0; words_per_line];
-        for w in e.mask.iter() {
-            mask.set(base + w);
-            data[base + w] = e.data[w];
-        }
-        Some(RetiredBlock {
-            line,
-            mask,
-            data,
+        let wpl = self.words_per_line;
+        Some(RetiredLine {
+            line: LineAddr::new(e.block / self.blocks_per_line as u64),
+            mask: WordMask::from_bits(e.mask.bits() << self.offset_in_line(e.block)),
+            data: &self.words[i * wpl..(i + 1) * wpl],
             alloc_cycle: e.alloc_cycle,
+        })
+    }
+
+    /// [`WriteBuffer::retire`] with the data copied into an owned
+    /// [`RetiredBlock`].
+    pub fn take_retired(&mut self, id: EntryId) -> Option<RetiredBlock> {
+        self.retire(id).map(|r| RetiredBlock {
+            line: r.line,
+            mask: r.mask,
+            data: r.data.to_vec(),
+            alloc_cycle: r.alloc_cycle,
         })
     }
 
@@ -547,9 +593,9 @@ mod tests {
             assert_eq!(b.store(a(1, w), 10 + w, w), StoreOutcome::Merged);
         }
         assert_eq!(b.occupancy(), 1);
-        let e = b.iter().next().unwrap();
+        let (e, data) = b.iter_with_data().next().unwrap();
         assert!(e.mask.is_full(4));
-        assert_eq!(e.data, vec![10, 11, 12, 13]);
+        assert_eq!(data, &[10, 11, 12, 13]);
     }
 
     #[test]
@@ -864,5 +910,139 @@ mod tests {
         assert_eq!(b.oldest_age(30), Some(30));
         b.begin_retire(b.next_retirement().unwrap());
         assert_eq!(b.oldest_age(30), Some(20), "oldest non-retiring");
+    }
+
+    #[test]
+    fn iter_with_data_yields_block_words() {
+        let cfg = WriteBufferConfig::builder()
+            .depth(8)
+            .width_words(2)
+            .build()
+            .unwrap();
+        let mut b = WriteBuffer::new(&cfg, &g()).unwrap();
+        b.store(a(5, 3), 53, 0);
+        b.store(a(5, 0), 50, 1);
+        let got: Vec<(u64, Vec<u64>)> = b
+            .iter_with_data()
+            .map(|(e, d)| (e.block, d.to_vec()))
+            .collect();
+        assert_eq!(got, vec![(11, vec![0, 53]), (10, vec![50, 0])]);
+    }
+
+    /// The owned wrapper and the borrowed path agree, and both match the
+    /// line-coordinate conversion written out longhand.
+    #[test]
+    fn retire_matches_take_retired() {
+        for width in [1usize, 2, 4] {
+            let cfg = WriteBufferConfig::builder()
+                .depth(8)
+                .width_words(width)
+                .build()
+                .unwrap();
+            let mut b = WriteBuffer::new(&cfg, &g()).unwrap();
+            for (i, (l, w)) in [(3u64, 1u64), (3, 3), (4, 0), (3, 2), (4, 1)]
+                .into_iter()
+                .enumerate()
+            {
+                b.store(a(l, w), 100 + i as u64, i as u64);
+            }
+            while let Some(id) = b.next_retirement() {
+                let entry = b.iter().find(|e| e.id == id).unwrap().clone();
+                let words = b
+                    .iter_with_data()
+                    .find(|(e, _)| e.id == id)
+                    .unwrap()
+                    .1
+                    .to_vec();
+                let mut expect = vec![0; 4];
+                let mut mask = WordMask::empty();
+                let base = (entry.block * width as u64 % 4) as usize;
+                for w in entry.mask.iter() {
+                    mask.set(base + w);
+                    expect[base + w] = words[w];
+                }
+                let mut twin = b.clone();
+                assert!(b.begin_retire(id) && twin.begin_retire(id));
+                let owned = twin.take_retired(id).unwrap();
+                let r = b.retire(id).unwrap();
+                assert_eq!(r.line, LineAddr::new(entry.block * width as u64 / 4));
+                assert_eq!(
+                    (r.line, r.mask, r.alloc_cycle),
+                    (owned.line, owned.mask, owned.alloc_cycle)
+                );
+                assert_eq!(r.mask, mask);
+                assert_eq!(r.data, &owned.data[..]);
+                assert_eq!(owned.data, expect);
+            }
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Cmd {
+        Store(u64, u64),
+        InsertLine(u64),
+        BeginRetire,
+        TakeRetired,
+    }
+
+    fn cmd() -> impl proptest::prelude::Strategy<Value = Cmd> {
+        use proptest::prelude::*;
+        prop_oneof![
+            4 => (0u64..6, 0u64..4).prop_map(|(l, w)| Cmd::Store(l, w)),
+            1 => (0u64..6).prop_map(Cmd::InsertLine),
+            2 => Just(Cmd::BeginRetire),
+            2 => Just(Cmd::TakeRetired),
+        ]
+    }
+
+    proptest::proptest! {
+        /// `occupancy()` (the FIFO length) equals the popcount of the
+        /// occupied bitset after every operation, at depths 1–12 and
+        /// widths 1/2/4.
+        #[test]
+        fn occupancy_tracks_occupied_bits(
+            depth in 1usize..=12,
+            width_pick in 0usize..3,
+            cmds in proptest::collection::vec(cmd(), 0..80),
+        ) {
+            let width = [1usize, 2, 4][width_pick];
+            let cfg = WriteBufferConfig::builder()
+                .depth(depth)
+                .width_words(width)
+                .retirement(RetirementPolicy::RetireAt(1))
+                .build()
+                .unwrap();
+            let mut b = WriteBuffer::new(&cfg, &g()).unwrap();
+            let mut in_flight = Vec::new();
+            for (now, c) in cmds.iter().enumerate() {
+                let now = now as u64;
+                match *c {
+                    Cmd::Store(l, w) => {
+                        b.store(a(l, w), now + 1, now);
+                    }
+                    Cmd::InsertLine(l) => {
+                        if width == 4 {
+                            b.insert_line(LineAddr::new(l), &[now; 4], now);
+                        }
+                    }
+                    Cmd::BeginRetire => {
+                        if let Some(id) = b.next_retirement() {
+                            proptest::prop_assert!(b.begin_retire(id));
+                            in_flight.push(id);
+                        }
+                    }
+                    Cmd::TakeRetired => {
+                        if !in_flight.is_empty() {
+                            let id = in_flight.remove(0);
+                            proptest::prop_assert!(b.take_retired(id).is_some());
+                        }
+                    }
+                }
+                proptest::prop_assert!(b.check_invariant());
+                proptest::prop_assert_eq!(b.occupancy(), b.occupied.count_ones() as usize);
+                proptest::prop_assert_eq!(b.is_full(), b.occupied.count_ones() as usize >= depth);
+                proptest::prop_assert!(b.occupancy() <= depth);
+            }
+        }
     }
 }

@@ -24,11 +24,10 @@ pub struct Entry {
     pub id: EntryId,
     /// Block tag: global word address divided by the entry width.
     pub block: u64,
-    /// Valid bits, one per word of the block (bits `0..width_words`).
+    /// Valid bits, one per word of the block (bits `0..width_words`). The
+    /// words themselves live in the buffer's slab
+    /// (`WriteBuffer::iter_with_data`).
     pub mask: WordMask,
-    /// Data words (length `width_words`); only `mask`-valid slots are
-    /// meaningful.
-    pub data: Vec<u64>,
     /// Cycle at which this entry was allocated (drives max-age retirement
     /// and FIFO order tie-breaking).
     pub alloc_cycle: Cycle,
@@ -40,9 +39,25 @@ pub struct Entry {
 }
 
 /// A block leaving the buffer, re-expressed in *line* coordinates so it can
-/// be handed to [`L2Cache::write_line_masked`] directly.
+/// be handed to [`L2Cache::write_line_masked`] directly. Its data borrows
+/// the buffer's slab: this is what `WriteBuffer::retire` returns, with no
+/// allocation.
 ///
 /// [`L2Cache::write_line_masked`]: https://docs.rs/wbsim-mem
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RetiredLine<'a> {
+    /// The cache line this block belongs to.
+    pub line: LineAddr,
+    /// Valid bits in line coordinates.
+    pub mask: WordMask,
+    /// Data in line coordinates (length = words per line); only
+    /// `mask`-valid slots are meaningful, and every other word is zero.
+    pub data: &'a [u64],
+    /// Cycle at which the entry was allocated (for lifetime statistics).
+    pub alloc_cycle: Cycle,
+}
+
+/// An owned [`RetiredLine`] — what `WriteBuffer::take_retired` returns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetiredBlock {
     /// The cache line this block belongs to.
@@ -81,7 +96,6 @@ mod tests {
             id: 1,
             block: 100,
             mask,
-            data: vec![0, 42, 0, 0],
             alloc_cycle: 10,
             last_touch: 10,
             retiring: false,

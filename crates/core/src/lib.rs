@@ -11,7 +11,7 @@
 //!
 //! Modules:
 //!
-//! * [`entry`] — one buffer entry and the [`entry::RetiredBlock`]
+//! * [`entry`] — one buffer entry and the [`entry::RetiredLine`]
 //!   handed to L2 when it leaves;
 //! * [`buffer`] — [`buffer::WriteBuffer`], the model itself;
 //! * [`presets`] — configurations for the hardware the paper cites
@@ -42,4 +42,4 @@ pub mod entry;
 pub mod presets;
 
 pub use buffer::{StoreOutcome, WriteBuffer};
-pub use entry::{Entry, EntryId, RetiredBlock};
+pub use entry::{Entry, EntryId, RetiredBlock, RetiredLine};

@@ -3,7 +3,10 @@
 //! whole suite in parallel.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::OnceLock;
+use std::sync::Arc;
+
+use wbsim_types::sync::atomic::AtomicUsize;
+use wbsim_types::sync::{Condvar, Mutex, Ordering};
 
 use wbsim_sim::{Engine, HistogramObserver, Machine};
 use wbsim_trace::bench_models::BenchmarkModel;
@@ -47,36 +50,129 @@ pub fn pool_cells_jobs<T: Send>(n: usize, jobs: usize, work: impl Fn(usize) -> T
 /// (benchmark, seed) pair, filled by whichever pooled cell needs it first
 /// and reused by every later cell of the same pair. Generation panics are
 /// cached too, so every dependent cell reports the same message.
+///
+/// Each stream is built for a known number of cells. When the last of them
+/// finishes, the stream's buffer goes to a free list and the next stream
+/// is generated into it ([`BenchmarkModel::stream_into`]). One-seed grids
+/// (`Harness::sweep`, `table7_rows`) dispense cells stream-major, so each
+/// pool worker holds at most one stream: at most `jobs` buffers are ever
+/// allocated, each recycled by the worker that generates next instead of
+/// being freed and reallocated.
 struct StreamCache<'a> {
     benches: &'a [BenchmarkModel],
     base_seed: u64,
     length: u64,
-    slots: Vec<OnceLock<Result<Vec<Op>, String>>>,
+    n_seeds: usize,
+    slots: Vec<StreamSlot>,
+    free: Mutex<Vec<Vec<Op>>>,
+    /// Stream buffers allocated so far (the free list's misses).
+    allocated: AtomicUsize,
+    /// Streams generated so far.
+    generated: AtomicUsize,
+}
+
+/// One (benchmark, seed) stream of a [`StreamCache`].
+struct StreamSlot {
+    state: Mutex<SlotState>,
+    ready: Condvar,
+}
+
+struct SlotState {
+    /// The generated stream (or its generation panic), while any cell may
+    /// still need it.
+    stream: Option<Arc<Result<Vec<Op>, String>>>,
+    generating: bool,
+    /// Cells that have not yet released this stream.
+    users_left: usize,
 }
 
 impl<'a> StreamCache<'a> {
-    fn new(benches: &'a [BenchmarkModel], base_seed: u64, length: u64, n_seeds: usize) -> Self {
+    /// A cache for `benches` × `n_seeds` streams of `length` instructions,
+    /// each used by exactly `cells_per_stream` cells.
+    fn new(
+        benches: &'a [BenchmarkModel],
+        base_seed: u64,
+        length: u64,
+        n_seeds: usize,
+        cells_per_stream: usize,
+    ) -> Self {
         Self {
             benches,
             base_seed,
             length,
+            n_seeds,
             slots: (0..benches.len() * n_seeds)
-                .map(|_| OnceLock::new())
+                .map(|_| StreamSlot {
+                    state: Mutex::new(SlotState {
+                        stream: None,
+                        generating: false,
+                        users_left: cells_per_stream,
+                    }),
+                    ready: Condvar::new(),
+                })
                 .collect(),
+            free: Mutex::new(Vec::new()),
+            allocated: AtomicUsize::new(0),
+            generated: AtomicUsize::new(0),
         }
     }
 
-    /// The stream for benchmark index `b` under seed offset `s`.
-    fn get(&self, b: usize, s: usize) -> Result<&[Op], String> {
-        let n_seeds = self.slots.len() / self.benches.len();
-        let seed = self.base_seed + s as u64;
-        self.slots[b * n_seeds + s]
-            .get_or_init(|| {
-                catch_unwind(|| self.benches[b].stream(seed, self.length))
-                    .map_err(|p| format!("stream generation: {}", panic_message(p)))
-            })
-            .as_deref()
-            .map_err(Clone::clone)
+    /// Runs `work` on the stream for benchmark index `b` under seed offset
+    /// `s`, generating it first if no cell has, then releases the stream
+    /// on this cell's behalf. Every cell counted in `cells_per_stream`
+    /// must call this exactly once.
+    fn with<R>(&self, b: usize, s: usize, work: impl FnOnce(&[Op]) -> R) -> Result<R, String> {
+        let slot = &self.slots[b * self.n_seeds + s];
+        let stream = self.acquire(slot, b, s);
+        let out = match &*stream {
+            Ok(ops) => Ok(work(ops)),
+            Err(e) => Err(e.clone()),
+        };
+        drop(stream);
+        let mut st = slot.state.lock();
+        st.users_left -= 1;
+        let last = if st.users_left == 0 {
+            st.stream.take()
+        } else {
+            None
+        };
+        drop(st);
+        // Every other user dropped its handle before counting itself out,
+        // so the last one holds the only reference.
+        if let Some(Ok(Ok(buf))) = last.map(Arc::try_unwrap) {
+            self.free.lock().push(buf);
+        }
+        out
+    }
+
+    fn acquire(&self, slot: &StreamSlot, b: usize, s: usize) -> Arc<Result<Vec<Op>, String>> {
+        let mut st = slot.state.lock();
+        while st.generating {
+            st = slot.ready.wait(st);
+        }
+        if let Some(stream) = &st.stream {
+            return Arc::clone(stream);
+        }
+        st.generating = true;
+        drop(st);
+        let mut buf = self.free.lock().pop().unwrap_or_else(|| {
+            self.allocated.fetch_add(1, Ordering::Relaxed);
+            Vec::new()
+        });
+        let (bench, seed) = (self.benches[b], self.base_seed + s as u64);
+        let stream = catch_unwind(AssertUnwindSafe(|| {
+            bench.stream_into(seed, self.length, &mut buf);
+            buf
+        }))
+        .map_err(|p| format!("stream generation: {}", panic_message(p)));
+        self.generated.fetch_add(1, Ordering::Relaxed);
+        let stream = Arc::new(stream);
+        let mut st = slot.state.lock();
+        st.stream = Some(Arc::clone(&stream));
+        st.generating = false;
+        drop(st);
+        slot.ready.notify_all();
+        stream
     }
 }
 
@@ -182,12 +278,18 @@ impl Harness {
 
     /// Runs one benchmark through one configuration.
     #[must_use]
-    pub fn run(&self, bench: BenchmarkModel, mut cfg: MachineConfig) -> SimStats {
-        cfg.check_data = self.check_data;
+    pub fn run(&self, bench: BenchmarkModel, cfg: MachineConfig) -> SimStats {
         let ops = bench.stream(self.seed, self.instructions + self.warmup);
+        self.run_ops(cfg, &ops)
+    }
+
+    /// Runs an already generated stream through one configuration under
+    /// this harness's data checking, engine and warmup.
+    pub(crate) fn run_ops(&self, mut cfg: MachineConfig, ops: &[Op]) -> SimStats {
+        cfg.check_data = self.check_data;
         let mut m = Machine::new(cfg).expect("experiment configurations are valid by construction");
         m.set_engine(self.engine);
-        m.run_with_warmup(ops, self.warmup)
+        m.run_with_warmup(ops.iter().copied(), self.warmup)
     }
 
     /// Runs one benchmark through one configuration with a
@@ -256,24 +358,13 @@ impl Harness {
                 errors: lint,
             };
         }
-        let nc = configs.len();
-        let streams = StreamCache::new(benches, self.seed, self.instructions + self.warmup, 1);
-        let flat: Vec<Result<StallCell, String>> =
-            pool_cells_jobs(benches.len() * nc, self.jobs, |i| {
-                let (b, c) = (i / nc, i % nc);
-                let ops = streams.get(b, 0)?;
-                let mut cfg = configs[c].1.clone();
-                cfg.check_data = self.check_data;
-                catch_unwind(AssertUnwindSafe(|| {
-                    let mut m = Machine::new(cfg).expect("experiment configuration rejected");
-                    m.set_engine(self.engine);
-                    let stats = m.run_with_warmup(ops.iter().copied(), self.warmup);
-                    StallCell::from_stats(&stats)
-                }))
-                .map_err(panic_message)
-            });
+        let (flat, _) = self.pool_streams(benches, configs.len(), 1, |c, _, ops| {
+            self.try_cell(&configs[c].1, ops)
+        });
         let mut errors = Vec::new();
-        let mut flat = flat.into_iter();
+        let mut flat = flat
+            .into_iter()
+            .map(|cell| cell.and_then(|c| c.map_err(panic_message)));
         let cells = benches
             .iter()
             .map(|bench| {
@@ -302,6 +393,65 @@ impl Harness {
             cells,
             errors,
         }
+    }
+}
+
+/// How a [`Harness::pool_streams`] grid used its stream cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct StreamUse {
+    /// Streams generated.
+    pub(crate) generated: usize,
+    /// Stream buffers allocated.
+    pub(crate) allocated: usize,
+}
+
+impl Harness {
+    /// Runs a (benchmark × config × seed) grid on the shared cell pool
+    /// ([`pool_cells_jobs`]), flattened into one cell index space so the
+    /// pool balances across the whole grid: `i = ((b * n_configs) + c) *
+    /// n_seeds + s`. `work(c, s, ops)` runs one cell on the stream of
+    /// benchmark `b` under seed offset `s`; each stream is generated once,
+    /// by whichever cell needs it first, and recycled after its last cell
+    /// (see [`StreamCache`]). A generation panic becomes the `Err` of
+    /// every cell of that stream. Results come back in cell order.
+    pub(crate) fn pool_streams<T: Send>(
+        &self,
+        benches: &[BenchmarkModel],
+        n_configs: usize,
+        n_seeds: usize,
+        work: impl Fn(usize, usize, &[Op]) -> T + Sync,
+    ) -> (Vec<Result<T, String>>, StreamUse) {
+        let length = self.instructions + self.warmup;
+        let streams = StreamCache::new(benches, self.seed, length, n_seeds, n_configs);
+        let cells = pool_cells_jobs(benches.len() * n_configs * n_seeds, self.jobs, |i| {
+            let (b, c, s) = (
+                i / (n_configs * n_seeds),
+                (i / n_seeds) % n_configs,
+                i % n_seeds,
+            );
+            streams.with(b, s, |ops| work(c, s, ops))
+        });
+        let used = StreamUse {
+            generated: streams.generated.load(Ordering::Relaxed),
+            allocated: streams.allocated.load(Ordering::Relaxed),
+        };
+        (cells, used)
+    }
+
+    /// One sweep cell: `cfg` on `ops`, with a panic (an invalid
+    /// configuration, a machine assertion) caught as the cell's result.
+    fn try_cell(
+        &self,
+        cfg: &MachineConfig,
+        ops: &[Op],
+    ) -> Result<StallCell, Box<dyn std::any::Any + Send>> {
+        let mut cfg = cfg.clone();
+        cfg.check_data = self.check_data;
+        catch_unwind(AssertUnwindSafe(|| {
+            let mut m = Machine::new(cfg).expect("experiment configuration rejected");
+            m.set_engine(self.engine);
+            StallCell::from_stats(&m.run_with_warmup(ops.iter().copied(), self.warmup))
+        }))
     }
 }
 
@@ -512,31 +662,16 @@ impl Harness {
                 errors: lint,
             };
         }
-        // Flatten all three axes — (benchmark × config × seed) — into one
-        // cell index space so the pool balances across the whole grid:
-        // i = ((b * nc) + c) * n + s. Streams are shared per (bench, seed).
         let n = n_seeds.max(1) as usize;
-        let nc = configs.len();
-        let streams = StreamCache::new(benches, self.seed, self.instructions + self.warmup, n);
-        let flat: Vec<Result<StallCell, String>> =
-            pool_cells_jobs(benches.len() * nc * n, self.jobs, |i| {
-                let (b, c, s) = (i / (nc * n), (i / n) % nc, i % n);
-                let seed = self.seed + s as u64;
-                let ops = streams
-                    .get(b, s)
-                    .map_err(|msg| format!("seed {seed}: {msg}"))?;
-                let mut cfg = configs[c].1.clone();
-                cfg.check_data = self.check_data;
-                catch_unwind(AssertUnwindSafe(|| {
-                    let mut m = Machine::new(cfg).expect("experiment configuration rejected");
-                    m.set_engine(self.engine);
-                    let stats = m.run_with_warmup(ops.iter().copied(), self.warmup);
-                    StallCell::from_stats(&stats)
-                }))
-                .map_err(|p| format!("seed {seed}: {}", panic_message(p)))
-            });
+        let (flat, _) = self.pool_streams(benches, configs.len(), n, |c, _, ops| {
+            self.try_cell(&configs[c].1, ops)
+        });
         let mut errors = Vec::new();
-        let mut runs = flat.into_iter();
+        let mut runs = flat.into_iter().enumerate().map(|(i, cell)| {
+            let seed = self.seed + (i % n) as u64;
+            cell.and_then(|c| c.map_err(panic_message))
+                .map_err(|msg| format!("seed {seed}: {msg}"))
+        });
         let summaries = benches
             .iter()
             .map(|bench| {
@@ -834,5 +969,81 @@ mod tests {
         let s = h.run(BenchmarkModel::Fft, MachineConfig::baseline());
         let c = StallCell::from_stats(&s);
         assert!((c.total_pct() - s.total_stall_pct()).abs() < 1e-9);
+    }
+
+    /// A stream whose generation panics (a length whose buffer cannot be
+    /// sized) fails every cell that depends on it with the same message,
+    /// and is generated only once.
+    #[test]
+    fn stream_generation_panic_reaches_every_dependent_cell() {
+        let h = Harness {
+            instructions: u64::MAX,
+            warmup: 0,
+            seed: 1,
+            check_data: false,
+            jobs: 2,
+            ..Harness::standard()
+        };
+        let benches = [BenchmarkModel::Espresso, BenchmarkModel::Li];
+        let (cells, used) = h.pool_streams(&benches, 3, 2, |_, _, ops| ops.len());
+        assert_eq!(cells.len(), 12);
+        assert_eq!(used.generated, 4, "one attempt per (bench, seed)");
+        for cell in &cells {
+            let msg = cell.as_ref().expect_err("generation failed");
+            assert!(msg.starts_with("stream generation: "), "{msg}");
+        }
+
+        let configs = vec![
+            ("a".to_string(), MachineConfig::baseline()),
+            ("b".to_string(), MachineConfig::baseline()),
+        ];
+        let fig = h.sweep("Figure T", "test", &benches, &configs);
+        assert_eq!(fig.errors.len(), 4, "errors: {:?}", fig.errors);
+        for err in &fig.errors {
+            assert!(err.message.starts_with("stream generation: "), "{err}");
+        }
+        let spread = h.sweep_seeds("Figure T", "test", &benches, &configs, 2);
+        assert_eq!(spread.errors.len(), 4, "errors: {:?}", spread.errors);
+        for err in &spread.errors {
+            assert!(
+                err.message.starts_with("seed 1: stream generation: "),
+                "{err}"
+            );
+        }
+    }
+
+    /// Streams are recycled after their last cell: on one worker, a grid
+    /// whose configs interleave two seeds keeps two streams alive and so
+    /// allocates two buffers for all six streams, and every cell still
+    /// sees its own stream.
+    #[test]
+    fn pool_streams_recycles_buffers_and_serves_the_right_stream() {
+        let h = Harness {
+            instructions: 3_000,
+            warmup: 500,
+            seed: 4,
+            check_data: false,
+            jobs: 1,
+            ..Harness::standard()
+        };
+        let benches = [
+            BenchmarkModel::Espresso,
+            BenchmarkModel::Fft,
+            BenchmarkModel::Gmtry,
+        ];
+        let (cells, used) = h.pool_streams(&benches, 2, 2, |c, s, ops| (c, s, ops.to_vec()));
+        assert_eq!(
+            used,
+            StreamUse {
+                generated: 6,
+                allocated: 2
+            }
+        );
+        for (i, cell) in cells.into_iter().enumerate() {
+            let (c, s, ops) = cell.expect("generation succeeds");
+            let b = i / 4;
+            assert_eq!((c, s), ((i / 2) % 2, i % 2));
+            assert_eq!(ops, benches[b].stream(h.seed + s as u64, 3_500));
+        }
     }
 }

@@ -8,8 +8,9 @@ use wbsim_trace::bench_models::BenchmarkModel;
 use wbsim_trace::stats::TraceStats;
 use wbsim_types::config::{L2Config, MachineConfig};
 use wbsim_types::stall::StallKind;
+use wbsim_types::stats::SimStats;
 
-use crate::harness::Harness;
+use crate::harness::{Harness, StreamUse};
 
 /// A rendered-ready table: header plus string rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -279,24 +280,12 @@ pub struct L2HitRow {
 /// Table 7 (numeric form): L1 and L2 hit rates for real L2 sizes.
 #[must_use]
 pub fn table7_rows(h: &Harness) -> Vec<L2HitRow> {
-    let sizes = [128u32, 512, 1024];
-    // One pooled cell per (benchmark × L2 size): 51 independent cells on
-    // the shared scheduler, instead of one long-lived thread per benchmark
-    // serializing its three sizes.
-    let stats =
-        crate::harness::pool_cells_jobs(BenchmarkModel::ALL.len() * sizes.len(), h.jobs, |i| {
-            let (b, si) = (i / sizes.len(), i % sizes.len());
-            let cfg = MachineConfig {
-                l2: L2Config::real_with_size(sizes[si] * 1024),
-                ..MachineConfig::baseline()
-            };
-            h.run(BenchmarkModel::ALL[b], cfg)
-        });
+    let (stats, _) = table7_cells(h);
     BenchmarkModel::ALL
         .iter()
         .enumerate()
         .map(|(b, m)| {
-            let cell = |si: usize| &stats[b * sizes.len() + si];
+            let cell = |si: usize| &stats[b * TABLE7_L2_KB.len() + si];
             L2HitRow {
                 bench: *m,
                 l1_hit: cell(2).l1_load_hit_rate(),
@@ -308,6 +297,29 @@ pub fn table7_rows(h: &Harness) -> Vec<L2HitRow> {
             }
         })
         .collect()
+}
+
+/// Table 7's real L2 sizes, in KiB.
+const TABLE7_L2_KB: [u32; 3] = [128, 512, 1024];
+
+/// Every cell of Table 7 in (benchmark, L2 size) order, with how the
+/// grid used its stream cache. One pooled cell per (benchmark × L2 size):
+/// 51 independent cells on the shared scheduler, dispensed model-major so
+/// the three sizes of a model share one generated stream.
+pub(crate) fn table7_cells(h: &Harness) -> (Vec<SimStats>, StreamUse) {
+    let (cells, used) =
+        h.pool_streams(&BenchmarkModel::ALL, TABLE7_L2_KB.len(), 1, |si, _, ops| {
+            let cfg = MachineConfig {
+                l2: L2Config::real_with_size(TABLE7_L2_KB[si] * 1024),
+                ..MachineConfig::baseline()
+            };
+            h.run_ops(cfg, ops)
+        });
+    let stats = cells
+        .into_iter()
+        .map(|cell| cell.unwrap_or_else(|msg| panic!("{msg}")))
+        .collect();
+    (stats, used)
 }
 
 /// Table 7: L1 and L2 hit rates as L2 size varies (strict inclusion).
@@ -496,5 +508,49 @@ mod tests {
         assert_eq!(t.rows.len(), 2);
         assert_eq!(t.rows[0][0], "gmtry");
         assert_eq!(t.rows[1][0], "cholsky");
+    }
+
+    /// The stream-cached grid is the per-cell runner, field for field: one
+    /// generated stream per model, shared by its three L2 sizes, and never
+    /// more stream buffers than pool workers.
+    #[test]
+    fn table7_cells_match_per_cell_runs_on_recycled_streams() {
+        for jobs in [1, 2] {
+            let h = Harness {
+                jobs,
+                ..Harness::quick()
+            };
+            let (stats, used) = table7_cells(&h);
+            assert_eq!(
+                used.generated,
+                BenchmarkModel::ALL.len(),
+                "one stream per model"
+            );
+            assert!(
+                (1..=jobs).contains(&used.allocated),
+                "{} stream buffers for {jobs} workers",
+                used.allocated
+            );
+            if jobs == 1 {
+                continue;
+            }
+            assert_eq!(stats.len(), BenchmarkModel::ALL.len() * TABLE7_L2_KB.len());
+            for (i, got) in stats.iter().enumerate() {
+                let (m, kb) = (BenchmarkModel::ALL[i / 3], TABLE7_L2_KB[i % 3]);
+                let cfg = MachineConfig {
+                    l2: L2Config::real_with_size(kb * 1024),
+                    ..MachineConfig::baseline()
+                };
+                assert_eq!(*got, h.run(m, cfg), "{} at {kb}K", m.name());
+            }
+            let rows = table7_rows(&h);
+            assert_eq!(rows.len(), BenchmarkModel::ALL.len());
+            for (b, row) in rows.iter().enumerate() {
+                assert_eq!(row.l1_hit, stats[b * 3 + 2].l1_load_hit_rate());
+                for si in 0..3 {
+                    assert_eq!(row.l2_hit[si], stats[b * 3 + si].l2_read_hit_rate());
+                }
+            }
+        }
     }
 }

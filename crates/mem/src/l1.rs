@@ -139,14 +139,22 @@ impl L1Cache {
     /// Panics in debug builds if `data` is shorter than a line or the line
     /// is already present (fills must be preceded by a miss).
     pub fn fill(&mut self, line: LineAddr, data: &[u64]) -> Option<LineAddr> {
-        debug_assert!(data.len() >= self.words_per_line);
         let (set, tag) = self.set_and_tag(line);
+        let idx = self.fill_way(set, tag);
+        let victim = self.line_at(set, idx);
+        self.install(idx, tag, data);
+        victim
+    }
+
+    /// The way index (`set * assoc + way`) a fill of a line absent from
+    /// `set` takes: an invalid way if one exists, else the LRU way.
+    #[inline]
+    fn fill_way(&self, set: usize, tag: u64) -> usize {
         debug_assert!(
             self.find_way(set, tag).is_none(),
             "fill of a line that is already present"
         );
         let base = set * self.assoc;
-        // Choose an invalid way if one exists, else the LRU way.
         let way = (0..self.assoc)
             .find(|&w| self.tags[base + w] == INVALID)
             .unwrap_or_else(|| {
@@ -154,32 +162,43 @@ impl L1Cache {
                     .min_by_key(|&w| self.stamps[base + w])
                     .expect("assoc >= 1")
             });
-        let idx = base + way;
-        let victim = if self.tags[idx] == INVALID {
-            None
-        } else {
-            Some(LineAddr::new(
-                self.tags[idx] * self.sets as u64 + set as u64,
-            ))
-        };
+        base + way
+    }
+
+    /// The line held by way index `idx` of `set`, if valid.
+    #[inline]
+    fn line_at(&self, set: usize, idx: usize) -> Option<LineAddr> {
+        (self.tags[idx] != INVALID)
+            .then(|| LineAddr::new(self.tags[idx] * self.sets as u64 + set as u64))
+    }
+
+    /// Installs a line with tag `tag` and data `data` in way index `idx`
+    /// as the most recently used way.
+    #[inline]
+    fn install(&mut self, idx: usize, tag: u64, data: &[u64]) {
+        debug_assert!(data.len() >= self.words_per_line);
         self.tags[idx] = tag;
         self.stamps[idx] = self.next_stamp;
         self.next_stamp += 1;
         self.data[idx * self.words_per_line..(idx + 1) * self.words_per_line]
             .copy_from_slice(&data[..self.words_per_line]);
-        victim
     }
 
     /// Like [`L1Cache::store_word`], but also sets the line's dirty bit —
     /// the write-back policy's store hit.
     pub fn store_word_dirty(&mut self, line: LineAddr, word: usize, value: u64) -> bool {
-        if self.store_word(line, word, value) {
-            let (set, tag) = self.set_and_tag(line);
-            let way = self.find_way(set, tag).expect("store_word just hit");
-            self.dirty[set * self.assoc + way] = true;
-            true
-        } else {
-            false
+        debug_assert!(word < self.words_per_line);
+        let (set, tag) = self.set_and_tag(line);
+        match self.find_way(set, tag) {
+            Some(way) => {
+                let idx = set * self.assoc + way;
+                self.stamps[idx] = self.next_stamp;
+                self.next_stamp += 1;
+                self.data[idx * self.words_per_line + word] = value;
+                self.dirty[idx] = true;
+                true
+            }
+            None => false,
         }
     }
 
@@ -202,9 +221,10 @@ impl L1Cache {
         ))
     }
 
-    /// Fills `line` and returns the displaced victim with its data if it
-    /// was dirty (the write-back policy's eviction path). Clean victims and
-    /// free-way fills return `None`, as under write-through.
+    /// Fills `line` (clean) and, if the displaced victim was dirty (the
+    /// write-back policy's eviction path), copies its data into `victim`
+    /// (which must hold at least a line) and returns its address. Clean
+    /// victims and free-way fills return `None`, as under write-through.
     ///
     /// # Panics
     ///
@@ -214,33 +234,19 @@ impl L1Cache {
         &mut self,
         line: LineAddr,
         data: &[u64],
-    ) -> Option<(LineAddr, Vec<u64>)> {
-        let (set, _) = self.set_and_tag(line);
-        let base = set * self.assoc;
-        let victim = if (0..self.assoc).any(|w| self.tags[base + w] == INVALID) {
-            None
-        } else {
-            let way = (0..self.assoc)
-                .min_by_key(|&w| self.stamps[base + w])
-                .expect("assoc >= 1");
-            let idx = base + way;
-            if self.dirty[idx] {
-                let start = idx * self.words_per_line;
-                Some((
-                    LineAddr::new(self.tags[idx] * self.sets as u64 + set as u64),
-                    self.data[start..start + self.words_per_line].to_vec(),
-                ))
-            } else {
-                None
-            }
-        };
-        let displaced = self.fill(line, data);
-        // `fill` reused the same way; clear its dirty bit for the new line.
-        let (set2, tag2) = self.set_and_tag(line);
-        let way2 = self.find_way(set2, tag2).expect("fill just installed");
-        self.dirty[set2 * self.assoc + way2] = false;
-        let _ = displaced;
-        victim
+        victim: &mut [u64],
+    ) -> Option<LineAddr> {
+        let (set, tag) = self.set_and_tag(line);
+        let idx = self.fill_way(set, tag);
+        let dirty_victim = self.line_at(set, idx).filter(|_| self.dirty[idx]);
+        if dirty_victim.is_some() {
+            let start = idx * self.words_per_line;
+            victim[..self.words_per_line]
+                .copy_from_slice(&self.data[start..start + self.words_per_line]);
+        }
+        self.install(idx, tag, data);
+        self.dirty[idx] = false;
+        dirty_victim
     }
 
     /// Invalidates `line` if present (inclusion enforcement from L2).
@@ -387,12 +393,10 @@ mod tests {
         assert_eq!(c.peek_victim(b), Some((a, false)), "clean victim");
         assert!(c.store_word_dirty(a, 1, 20));
         assert_eq!(c.peek_victim(b), Some((a, true)), "dirtied");
-        let victim = c.fill_with_victim(b, &[9; 4]);
-        assert_eq!(
-            victim,
-            Some((a, vec![1, 20, 3, 4])),
-            "dirty data handed back"
-        );
+        let mut data = [0; 4];
+        let victim = c.fill_with_victim(b, &[9; 4], &mut data);
+        assert_eq!(victim, Some(a));
+        assert_eq!(data, [1, 20, 3, 4], "dirty data handed back");
         // The new line starts clean.
         let d = LineAddr::new(5 + 512);
         assert_eq!(c.peek_victim(d), Some((b, false)));
@@ -404,7 +408,9 @@ mod tests {
         let a = LineAddr::new(7);
         let b = LineAddr::new(7 + 256);
         c.fill(a, &[1; 4]);
-        assert_eq!(c.fill_with_victim(b, &[2; 4]), None);
+        let mut data = [7; 4];
+        assert_eq!(c.fill_with_victim(b, &[2; 4], &mut data), None);
+        assert_eq!(data, [7; 4], "buffer untouched");
     }
 
     #[test]

@@ -22,7 +22,20 @@ use wbsim_types::config::{ConfigError, L2Config};
 
 use crate::memory::MainMemory;
 
-/// Result of an L2 read access.
+/// Result of an L2 read access whose line went into a caller-owned buffer
+/// ([`L2Cache::read_line_into`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct L2ReadInfo {
+    /// Whether the read missed in L2 (always `false` for a perfect L2).
+    pub miss: bool,
+    /// A line evicted to make room, which L1 must invalidate for inclusion.
+    pub evicted: Option<LineAddr>,
+    /// Whether the eviction wrote a dirty line back to memory.
+    pub wrote_back: bool,
+}
+
+/// Result of an L2 read access, with the line in an owned vector
+/// ([`L2Cache::read_line`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct L2ReadOutcome {
     /// The full line.
@@ -76,21 +89,42 @@ impl L2Cache {
         }
     }
 
-    /// Reads a full line (an L1 fill or an I-cache fill).
+    /// Reads a full line (an L1 fill or an I-cache fill) into `out`,
+    /// which must hold at least a line.
+    pub fn read_line_into(
+        &mut self,
+        geometry: &Geometry,
+        line: LineAddr,
+        mem: &mut MainMemory,
+        out: &mut [u64],
+    ) -> L2ReadInfo {
+        match self {
+            Self::Perfect => {
+                mem.read_line_into(geometry, line, out);
+                L2ReadInfo {
+                    miss: false,
+                    evicted: None,
+                    wrote_back: false,
+                }
+            }
+            Self::Real(r) => r.read_line_into(geometry, line, mem, out),
+        }
+    }
+
+    /// [`L2Cache::read_line_into`] into a freshly allocated line.
     pub fn read_line(
         &mut self,
         geometry: &Geometry,
         line: LineAddr,
         mem: &mut MainMemory,
     ) -> L2ReadOutcome {
-        match self {
-            Self::Perfect => L2ReadOutcome {
-                data: mem.read_line(geometry, line),
-                miss: false,
-                evicted: None,
-                wrote_back: false,
-            },
-            Self::Real(r) => r.read_line(geometry, line, mem),
+        let mut data = vec![0; geometry.words_per_line()];
+        let info = self.read_line_into(geometry, line, mem, &mut data);
+        L2ReadOutcome {
+            data,
+            miss: info.miss,
+            evicted: info.evicted,
+            wrote_back: info.wrote_back,
         }
     }
 
@@ -188,6 +222,12 @@ impl RealL2 {
         (0..self.assoc).find(|&w| self.tags[base + w] == tag)
     }
 
+    /// The words of way index `idx` in `data`.
+    #[inline]
+    fn words(&self, idx: usize) -> std::ops::Range<usize> {
+        idx * self.words_per_line..(idx + 1) * self.words_per_line
+    }
+
     /// Whether `line` is present.
     #[must_use]
     pub fn contains(&self, line: LineAddr) -> bool {
@@ -225,9 +265,7 @@ impl RealL2 {
         let mut wrote_back = false;
         if self.dirty[idx] {
             let full = WordMask::full(self.words_per_line);
-            let start = idx * self.words_per_line;
-            let line_data: Vec<u64> = self.data[start..start + self.words_per_line].to_vec();
-            mem.write_line_masked(geometry, victim, full, &line_data);
+            mem.write_line_masked(geometry, victim, full, &self.data[self.words(idx)]);
             wrote_back = true;
         }
         self.tags[idx] = INVALID;
@@ -235,20 +273,20 @@ impl RealL2 {
         (way, Some(victim), wrote_back)
     }
 
-    fn read_line(
+    fn read_line_into(
         &mut self,
         geometry: &Geometry,
         line: LineAddr,
         mem: &mut MainMemory,
-    ) -> L2ReadOutcome {
+        out: &mut [u64],
+    ) -> L2ReadInfo {
         let (set, tag) = self.set_and_tag(line);
         if let Some(way) = self.find_way(set, tag) {
             let idx = set * self.assoc + way;
             self.stamps[idx] = self.next_stamp;
             self.next_stamp += 1;
-            let start = idx * self.words_per_line;
-            return L2ReadOutcome {
-                data: self.data[start..start + self.words_per_line].to_vec(),
+            out[..self.words_per_line].copy_from_slice(&self.data[self.words(idx)]);
+            return L2ReadInfo {
                 miss: false,
                 evicted: None,
                 wrote_back: false,
@@ -256,15 +294,14 @@ impl RealL2 {
         }
         let (way, evicted, wrote_back) = self.allocate(geometry, set, mem);
         let idx = set * self.assoc + way;
-        let data = mem.read_line(geometry, line);
+        let words = self.words(idx);
+        mem.read_line_into(geometry, line, &mut self.data[words.clone()]);
         self.tags[idx] = tag;
         self.dirty[idx] = false;
         self.stamps[idx] = self.next_stamp;
         self.next_stamp += 1;
-        self.data[idx * self.words_per_line..(idx + 1) * self.words_per_line]
-            .copy_from_slice(&data);
-        L2ReadOutcome {
-            data,
+        out[..self.words_per_line].copy_from_slice(&self.data[words]);
+        L2ReadInfo {
             miss: true,
             evicted,
             wrote_back,
@@ -300,11 +337,13 @@ impl RealL2 {
         let (way, evicted, wrote_back) = self.allocate(geometry, set, mem);
         let idx = set * self.assoc + way;
         let fetched = !mask.is_full(self.words_per_line);
-        let mut merged = if fetched {
-            mem.read_line(geometry, line)
+        let words = self.words(idx);
+        let merged = &mut self.data[words];
+        if fetched {
+            mem.read_line_into(geometry, line, merged);
         } else {
-            vec![0; self.words_per_line]
-        };
+            merged.fill(0);
+        }
         for i in mask.iter() {
             merged[i] = data[i];
         }
@@ -312,8 +351,6 @@ impl RealL2 {
         self.dirty[idx] = true;
         self.stamps[idx] = self.next_stamp;
         self.next_stamp += 1;
-        self.data[idx * self.words_per_line..(idx + 1) * self.words_per_line]
-            .copy_from_slice(&merged);
         L2WriteOutcome {
             evicted,
             wrote_back,

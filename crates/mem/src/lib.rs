@@ -41,5 +41,5 @@ pub mod memory;
 
 pub use icache::Icache;
 pub use l1::L1Cache;
-pub use l2::{L2Cache, L2ReadOutcome, L2WriteOutcome};
+pub use l2::{L2Cache, L2ReadInfo, L2ReadOutcome, L2WriteOutcome};
 pub use memory::MainMemory;

@@ -5,9 +5,7 @@
 //! addresses* (byte address divided by the word size — see
 //! [`Geometry::word_addr`](wbsim_types::addr::Geometry::word_addr)).
 
-use std::collections::HashMap;
-
-use wbsim_types::addr::{Geometry, LineAddr, WordMask};
+use wbsim_types::addr::{Geometry, LineAddr, WordMap, WordMask};
 
 /// Sparse word-addressed main memory.
 ///
@@ -23,7 +21,9 @@ use wbsim_types::addr::{Geometry, LineAddr, WordMask};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MainMemory {
-    words: HashMap<u64, u64>,
+    /// Nonzero words only. Never iterated, so the hasher's order cannot
+    /// reach any output.
+    words: WordMap<u64>,
 }
 
 impl MainMemory {
@@ -48,12 +48,13 @@ impl MainMemory {
         }
     }
 
-    /// Reads a whole line into a freshly allocated vector.
+    /// Reads a whole line into a freshly allocated vector
+    /// ([`MainMemory::read_line_into`] without the caller's buffer).
     #[must_use]
     pub fn read_line(&self, geometry: &Geometry, line: LineAddr) -> Vec<u64> {
-        (0..geometry.words_per_line())
-            .map(|i| self.read_word(geometry.word_addr_in_line(line, i)))
-            .collect()
+        let mut out = vec![0; geometry.words_per_line()];
+        self.read_line_into(geometry, line, &mut out);
+        out
     }
 
     /// Reads a whole line into `out` (which must have `words_per_line`

@@ -13,12 +13,10 @@
 //! it did as [`Event`]s; under [`crate::NullObserver`] the emission
 //! compiles away.
 
-use std::collections::HashMap;
-
 use wbsim_core::buffer::{StoreOutcome, WriteBuffer};
 use wbsim_core::entry::EntryId;
 use wbsim_mem::{L1Cache, L2Cache, MainMemory};
-use wbsim_types::addr::{Addr, Geometry, LineAddr};
+use wbsim_types::addr::{Addr, Geometry, LineAddr, WordMap};
 use wbsim_types::config::{ConfigError, L2Config, MachineConfig};
 use wbsim_types::divergence::{FaultInjection, LoadSource};
 use wbsim_types::policy::{L1WritePolicy, LoadHazardPolicy, RetirementPolicy};
@@ -60,7 +58,13 @@ pub(crate) struct Hierarchy {
     /// conservation.
     pub(crate) victim_inserts: u64,
     /// Golden functional model: freshest value of every written word.
-    pub(crate) shadow: HashMap<u64, u64>,
+    /// Never iterated, so the hasher's order cannot reach any output.
+    pub(crate) shadow: WordMap<u64>,
+    /// Two lines of scratch, so no L2 read, fill or victim allocates:
+    /// `[..words_per_line]` holds the line the last L2 read fetched (a
+    /// blocked write-back fill keeps it there until it installs), and the
+    /// second half receives a dirty L1 victim on its way out.
+    pub(crate) scratch: Vec<u64>,
     pub(crate) read_time: u64,
     pub(crate) write_time: u64,
     pub(crate) mm_latency: u64,
@@ -94,7 +98,8 @@ impl Hierarchy {
             last_retire_start: 0,
             store_seq: 0,
             victim_inserts: 0,
-            shadow: HashMap::new(),
+            shadow: WordMap::default(),
+            scratch: vec![0; 2 * g.words_per_line()],
             read_time: latency,
             write_time: latency * txns,
             mm_latency,
@@ -134,7 +139,7 @@ impl Hierarchy {
     pub(crate) fn write_entry_to_l2<O: Observer>(&mut self, id: EntryId, flush: bool, obs: &mut O) {
         let r = self
             .wb
-            .take_retired(id)
+            .retire(id)
             .expect("completed transaction for a vanished entry");
         let lifetime = self.now.saturating_sub(r.alloc_cycle);
         self.stats
@@ -142,7 +147,7 @@ impl Hierarchy {
             .record_writeback(lifetime, r.mask.count());
         let out = self
             .l2
-            .write_line_masked(&self.g, r.line, r.mask, &r.data, &mut self.mem);
+            .write_line_masked(&self.g, r.line, r.mask, r.data, &mut self.mem);
         self.stats.l2_writes += self.cfg.write_buffer.datapath.transactions_per_line();
         if out.fetched {
             self.stats.mm_accesses += 1;
@@ -338,17 +343,24 @@ impl Hierarchy {
         None
     }
 
-    /// The structural half of an L2 read completion: fetch the line,
-    /// apply inclusion, and merge buffered words when `merge_wb`.
-    /// `timed_miss` is the miss decision made at issue time (it charges
-    /// the main-memory access).
+    /// The line the last [`Hierarchy::read_line_structural`] fetched.
+    pub(crate) fn fill_line(&self) -> &[u64] {
+        &self.scratch[..self.g.words_per_line()]
+    }
+
+    /// The structural half of an L2 read completion: fetch the line into
+    /// [`Hierarchy::fill_line`], apply inclusion, and merge buffered words
+    /// when `merge_wb`. `timed_miss` is the miss decision made at issue
+    /// time (it charges the main-memory access).
     pub(crate) fn read_line_structural(
         &mut self,
         line: LineAddr,
         merge_wb: bool,
         timed_miss: bool,
-    ) -> Vec<u64> {
-        let out = self.l2.read_line(&self.g, line, &mut self.mem);
+    ) {
+        let wpl = self.g.words_per_line();
+        let data = &mut self.scratch[..wpl];
+        let out = self.l2.read_line_into(&self.g, line, &mut self.mem, data);
         if timed_miss {
             self.stats.mm_accesses += 1;
         }
@@ -360,14 +372,12 @@ impl Hierarchy {
                 self.stats.inclusion_invalidations += 1;
             }
         }
-        let mut data = out.data;
         if merge_wb {
             // "filling L1 must somehow retrieve those active words from the
             // write buffer; otherwise, the fill into L1 would obtain stale
             // data" (§2.2). No extra cycles are charged for the merge.
-            self.wb.merge_into_line(line, &mut data);
+            self.wb.merge_into_line(line, &mut self.scratch[..wpl]);
         }
-        data
     }
 
     /// Whether a write-back fill of `line` is blocked on victim-buffer
@@ -387,27 +397,27 @@ impl Hierarchy {
         }
     }
 
-    /// Installs a completed fill into L1 (writing back a dirty victim
-    /// under the write-back policy) and finishes the load or the
-    /// write-allocate store.
+    /// Installs the fetched [`Hierarchy::fill_line`] into L1 (writing
+    /// back a dirty victim under the write-back policy) and finishes the
+    /// load or the write-allocate store.
     pub(crate) fn install_fill<O: Observer>(
         &mut self,
         addr: Addr,
-        data: &[u64],
         for_store: bool,
         merged_wb: bool,
         obs: &mut O,
     ) {
         let line = self.g.line_of(addr);
         let word = self.g.word_index(addr);
+        let (data, victim) = self.scratch.split_at_mut(self.g.words_per_line());
         let value = data[word];
         if self.cfg.l1.write_policy == L1WritePolicy::WriteBack {
-            if let Some((vline, vdata)) = self.l1.fill_with_victim(line, data) {
+            if let Some(vline) = self.l1.fill_with_victim(line, data, victim) {
                 // `insert_line` merges into an existing non-retiring entry
                 // for the same block when one exists; only a genuine
                 // allocation advances the conservation counter.
                 let merges = self.wb.has_nonretiring_block(vline.as_u64());
-                let ok = self.wb.insert_line(vline, &vdata, self.now);
+                let ok = self.wb.insert_line(vline, victim, self.now);
                 assert!(ok, "victim dropped: victim_blocked() was not consulted");
                 if !merges {
                     self.victim_inserts += 1;
@@ -458,9 +468,9 @@ impl Hierarchy {
         obs: &mut O,
     ) {
         let merge_wb = !self.forwarding_fault();
-        let data = self.read_line_structural(line, merge_wb, timed_miss);
+        self.read_line_structural(line, merge_wb, timed_miss);
         if !self.l1.contains(line) {
-            self.l1.fill(line, &data);
+            self.l1.fill(line, &self.scratch[..self.g.words_per_line()]);
             obs.event(&Event::FillInstalled {
                 now: self.now,
                 line: line.as_u64(),

@@ -164,10 +164,10 @@ enum CpuState {
         miss: bool,
     },
     /// A write-back fill is blocked: its dirty victim needs a free victim-
-    /// buffer entry. Holds the already-fetched line data.
+    /// buffer entry. The already-fetched line waits in the hierarchy's
+    /// fill line.
     VictimWait {
         addr: Addr,
-        data: Vec<u64>,
         merge_wb: bool,
         for_store: bool,
     },
@@ -272,15 +272,15 @@ pub(crate) fn hier_snapshot(
 ) -> MachineSnapshot {
     let g = &hier.g;
     let wpl = g.words_per_line();
-    let mut entries: Vec<_> = hier.wb.iter().collect();
-    entries.sort_by_key(|e| e.id);
+    let mut entries: Vec<_> = hier.wb.iter_with_data().collect();
+    entries.sort_by_key(|(e, _)| e.id);
     let wb = entries
         .into_iter()
-        .map(|e| WbEntrySnapshot {
+        .map(|(e, data)| WbEntrySnapshot {
             block: e.block,
             retiring: e.retiring,
-            words: (0..e.data.len())
-                .map(|w| e.mask.get(w).then(|| e.data[w]))
+            words: (0..data.len())
+                .map(|w| e.mask.get(w).then(|| data[w]))
                 .collect(),
         })
         .collect();
@@ -1162,13 +1162,14 @@ impl Machine {
                     }
                     let mut mask = WordMask::empty();
                     mask.set(word);
-                    let mut data = vec![0; self.hier.g.words_per_line()];
-                    data[word] = v;
+                    // Only the masked word is read; the rest of the
+                    // scratch line is don't-care.
+                    self.hier.scratch[word] = v;
                     let out = self.hier.l2.write_line_masked(
                         &self.hier.g,
                         line,
                         mask,
-                        &data,
+                        &self.hier.scratch,
                         &mut self.hier.mem,
                     );
                     if let Some(ev) = out.evicted {
@@ -1193,8 +1194,8 @@ impl Machine {
                         let miss = !self.hier.l2.contains(line);
                         cycles += self.hier.read_time + if miss { self.hier.mm_latency } else { 0 };
                         self.hier.stats.l2_reads += 1;
-                        let data = self.ideal_fill(line, miss);
-                        data[word]
+                        self.ideal_fill(line, miss);
+                        self.hier.fill_line()[word]
                     };
                     if check {
                         let expect = self
@@ -1215,51 +1216,45 @@ impl Machine {
         self.hier.stats
     }
 
-    /// Ideal-mode structural fill: read L2, apply inclusion, install into
-    /// L1 (writing a dirty victim straight to L2 under write-back), and
-    /// return the line data.
-    fn ideal_fill(&mut self, line: wbsim_types::addr::LineAddr, timed_miss: bool) -> Vec<u64> {
+    /// Ideal-mode structural fill: read L2 into the hierarchy's fill line,
+    /// apply inclusion, and install into L1 (writing a dirty victim
+    /// straight to L2 under write-back).
+    fn ideal_fill(&mut self, line: wbsim_types::addr::LineAddr, timed_miss: bool) {
         use wbsim_types::addr::WordMask;
-        let out = self
-            .hier
-            .l2
-            .read_line(&self.hier.g, line, &mut self.hier.mem);
+        let h = &mut self.hier;
+        let (data, victim) = h.scratch.split_at_mut(h.g.words_per_line());
+        let out = h.l2.read_line_into(&h.g, line, &mut h.mem, data);
         if out.miss {
-            self.hier.stats.l2_read_misses += 1;
+            h.stats.l2_read_misses += 1;
         }
         if timed_miss {
-            self.hier.stats.mm_accesses += 1;
+            h.stats.mm_accesses += 1;
         }
         if out.wrote_back {
-            self.hier.stats.mm_accesses += 1;
+            h.stats.mm_accesses += 1;
         }
         if let Some(ev) = out.evicted {
-            if self.hier.l1.invalidate(ev) {
-                self.hier.stats.inclusion_invalidations += 1;
+            if h.l1.invalidate(ev) {
+                h.stats.inclusion_invalidations += 1;
             }
         }
-        if self.hier.cfg.l1.write_policy == L1WritePolicy::WriteBack {
-            if let Some((vline, vdata)) = self.hier.l1.fill_with_victim(line, &out.data) {
-                let w = self.hier.l2.write_line_masked(
-                    &self.hier.g,
-                    vline,
-                    WordMask::full(self.hier.g.words_per_line()),
-                    &vdata,
-                    &mut self.hier.mem,
-                );
+        if h.cfg.l1.write_policy == L1WritePolicy::WriteBack {
+            if let Some(vline) = h.l1.fill_with_victim(line, data, victim) {
+                let full = WordMask::full(h.g.words_per_line());
+                let w =
+                    h.l2.write_line_masked(&h.g, vline, full, victim, &mut h.mem);
                 if w.wrote_back {
-                    self.hier.stats.mm_accesses += 1;
+                    h.stats.mm_accesses += 1;
                 }
                 if let Some(ev) = w.evicted {
-                    if self.hier.l1.invalidate(ev) {
-                        self.hier.stats.inclusion_invalidations += 1;
+                    if h.l1.invalidate(ev) {
+                        h.stats.inclusion_invalidations += 1;
                     }
                 }
             }
         } else {
-            self.hier.l1.fill(line, &out.data);
+            h.l1.fill(line, data);
         }
-        out.data
     }
 
     fn ifetch_cost(&mut self) -> u64 {
@@ -1537,24 +1532,21 @@ impl Machine {
                         return true;
                     }
                     let line = self.hier.g.line_of(addr);
-                    let data = self.hier.read_line_structural(line, merge_wb, miss);
+                    self.hier.read_line_structural(line, merge_wb, miss);
                     if self.hier.victim_blocked(line) {
                         self.cpu = CpuState::VictimWait {
                             addr,
-                            data,
                             merge_wb,
                             for_store,
                         };
                         continue;
                     }
-                    self.hier
-                        .install_fill(addr, &data, for_store, merge_wb, obs);
+                    self.hier.install_fill(addr, for_store, merge_wb, obs);
                     self.cpu = CpuState::NeedOp;
                     continue;
                 }
                 CpuState::VictimWait {
                     addr,
-                    data,
                     merge_wb,
                     for_store,
                 } => {
@@ -1563,14 +1555,12 @@ impl Machine {
                             .stall(wbsim_types::stall::StallKind::BufferFull, obs);
                         self.cpu = CpuState::VictimWait {
                             addr,
-                            data,
                             merge_wb,
                             for_store,
                         };
                         return true;
                     }
-                    self.hier
-                        .install_fill(addr, &data, for_store, merge_wb, obs);
+                    self.hier.install_fill(addr, for_store, merge_wb, obs);
                     self.cpu = CpuState::NeedOp;
                     continue;
                 }

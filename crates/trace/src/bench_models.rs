@@ -259,6 +259,15 @@ impl BenchmarkModel {
     /// deterministically from `seed`.
     #[must_use]
     pub fn stream(&self, seed: u64, n_instructions: u64) -> Vec<Op> {
+        let mut ops = Vec::new();
+        self.stream_into(seed, n_instructions, &mut ops);
+        ops
+    }
+
+    /// [`BenchmarkModel::stream`] into `ops`, which is cleared first and
+    /// keeps its capacity, so a caller can recycle one buffer across
+    /// streams.
+    pub fn stream_into(&self, seed: u64, n_instructions: u64, ops: &mut Vec<Op>) {
         // Mix the benchmark identity into the seed so two benchmarks never
         // share a stream even under the same seed.
         let ident = self
@@ -266,8 +275,8 @@ impl BenchmarkModel {
             .bytes()
             .fold(0u64, |h, b| h.wrapping_mul(131).wrapping_add(u64::from(b)));
         match self.generator() {
-            Generator::Mixed(w) => w.generate(seed ^ ident, n_instructions),
-            Generator::Kernel(k) => k.generate(seed ^ ident, n_instructions),
+            Generator::Mixed(w) => w.generate_into(seed ^ ident, n_instructions, ops),
+            Generator::Kernel(k) => k.generate_into(seed ^ ident, n_instructions, ops),
         }
     }
 }
@@ -342,5 +351,18 @@ mod tests {
         let transformed = TraceStats::measure(&BenchmarkModel::GmtryTransformed.stream(1, 60_000));
         assert!((shipped.pct_loads - transformed.pct_loads).abs() < 2.0);
         assert!((shipped.pct_stores - transformed.pct_stores).abs() < 2.0);
+    }
+
+    #[test]
+    fn stream_into_a_recycled_buffer_matches_stream() {
+        let mut buf = BenchmarkModel::Tomcatv.stream(9, 40_000);
+        for m in [
+            BenchmarkModel::Li,
+            BenchmarkModel::Gmtry,
+            BenchmarkModel::Fft,
+        ] {
+            m.stream_into(3, 20_000, &mut buf);
+            assert_eq!(buf, m.stream(3, 20_000), "{}", m.name());
+        }
     }
 }

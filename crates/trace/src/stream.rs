@@ -40,6 +40,20 @@ const STREAM_BASE: u64 = 0x0100_0000;
 const STORE_BASE: u64 = 0x0800_0000 + 10_922 * LINE;
 const RAND_BASE: u64 = 0x2000_0000 + 21_845 * LINE;
 
+/// Ops the final iteration of a generator loop can add past the
+/// instruction budget (a store burst, or one kernel element's scalar
+/// traffic).
+const BUDGET_OVERSHOOT: usize = 64;
+
+/// Clears `ops` and reserves room for a whole stream of `n_instructions`.
+/// Every op is at least one instruction, so the stream never outgrows the
+/// reservation and is never copied to a larger buffer mid-generation;
+/// only the pages actually written are touched.
+fn reserve_stream(ops: &mut Vec<Op>, n_instructions: u64) {
+    ops.clear();
+    ops.reserve((n_instructions as usize).saturating_add(BUDGET_OVERSHOOT));
+}
+
 /// A parameterized mixture of memory-access primitives.
 ///
 /// Fractions need not sum to one; each is a probability applied in the
@@ -105,8 +119,17 @@ impl MixedWorkload {
     /// `seed`.
     #[must_use]
     pub fn generate(&self, seed: u64, n_instructions: u64) -> Vec<Op> {
+        let mut ops = Vec::new();
+        self.generate_into(seed, n_instructions, &mut ops);
+        ops
+    }
+
+    /// [`MixedWorkload::generate`] into `ops`, which is cleared first and
+    /// keeps its capacity — the form a caller recycling one buffer across
+    /// streams uses.
+    pub fn generate_into(&self, seed: u64, n_instructions: u64, ops: &mut Vec<Op>) {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut ops: Vec<Op> = Vec::with_capacity((n_instructions / 2) as usize);
+        reserve_stream(ops, n_instructions);
         let mut pending_compute: u32 = 0;
         let mut emitted: u64 = 0;
 
@@ -163,7 +186,7 @@ impl MixedWorkload {
             emitted += 1;
             let r: f64 = rng.gen();
             if r < self.pct_loads {
-                flush_compute(&mut ops, &mut pending_compute);
+                flush_compute(ops, &mut pending_compute);
                 ops.push(Op::Load(self.pick_load(
                     &mut rng,
                     hot_words,
@@ -172,7 +195,7 @@ impl MixedWorkload {
                     &recent_stores,
                 )));
             } else if r < self.pct_loads + store_draw {
-                flush_compute(&mut ops, &mut pending_compute);
+                flush_compute(ops, &mut pending_compute);
                 let addr = self.pick_store(
                     &mut rng,
                     region_lines,
@@ -182,7 +205,7 @@ impl MixedWorkload {
                     &mut burst_left,
                     &recent_stores,
                 );
-                push_store(&mut ops, &mut recent_stores, addr);
+                push_store(ops, &mut recent_stores, addr);
                 // A scattered store may open a back-to-back burst; the
                 // extra stores are emitted immediately (they count toward
                 // the instruction budget, and the 1/burst gating in
@@ -191,18 +214,13 @@ impl MixedWorkload {
                     burst_left -= 1;
                     emitted += 1;
                     let line = rng.gen_range(0..region_lines);
-                    push_store(
-                        &mut ops,
-                        &mut recent_stores,
-                        Addr::new(STORE_BASE + line * LINE),
-                    );
+                    push_store(ops, &mut recent_stores, Addr::new(STORE_BASE + line * LINE));
                 }
             } else {
                 pending_compute += 1;
             }
         }
-        flush_compute(&mut ops, &mut pending_compute);
-        ops
+        flush_compute(ops, &mut pending_compute);
     }
 
     fn pick_load(
@@ -314,8 +332,16 @@ impl KernelWalk {
     /// `seed`, restarting the walk as often as necessary.
     #[must_use]
     pub fn generate(&self, seed: u64, n_instructions: u64) -> Vec<Op> {
+        let mut ops = Vec::new();
+        self.generate_into(seed, n_instructions, &mut ops);
+        ops
+    }
+
+    /// [`KernelWalk::generate`] into `ops`, which is cleared first and
+    /// keeps its capacity.
+    pub fn generate_into(&self, seed: u64, n_instructions: u64, ops: &mut Vec<Op>) {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0xD134_2543_DE82_EF95) | 1);
-        let mut ops = Vec::with_capacity((n_instructions / 2) as usize);
+        reserve_stream(ops, n_instructions);
         let mut emitted: u64 = 0;
         let mut elem_idx: u64 = 0;
         let mut store_idx: u64 = 0;
@@ -382,7 +408,6 @@ impl KernelWalk {
             }
             elem_idx += 1;
         }
-        ops
     }
 }
 

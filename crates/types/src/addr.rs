@@ -173,15 +173,30 @@ impl WordMask {
     }
 
     /// Iterates over the indices of valid words, in increasing order.
+    /// Visits only the set bits (`trailing_zeros`, then clear the lowest
+    /// set bit), so a sparse mask costs as many steps as it has words.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        let bits = self.0;
-        (0..64).filter(move |i| (bits >> i) & 1 == 1)
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            Some(i)
+        })
     }
 
     /// Returns the raw bit pattern.
     #[must_use]
     pub const fn bits(&self) -> u64 {
         self.0
+    }
+
+    /// The mask whose raw bit pattern is `bits` (bit `i` = word `i`).
+    #[must_use]
+    pub const fn from_bits(bits: u64) -> Self {
+        Self(bits)
     }
 }
 
@@ -288,6 +303,46 @@ impl Default for Geometry {
         Self::alpha_baseline()
     }
 }
+
+/// A hasher for maps keyed by global word address: one rotate, xor and
+/// multiply per `u64` (the FxHash step), instead of SipHash's several
+/// rounds. Word addresses are simulator-chosen, not adversarial, so
+/// collision resistance buys nothing here. The hash is fixed (no random
+/// seed); maps built on it must still never be iterated where the order
+/// could reach an output.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WordHasher(u64);
+
+impl WordHasher {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    #[inline]
+    fn add(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(Self::K);
+    }
+}
+
+impl std::hash::Hasher for WordHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` keyed by global word address, hashed with [`WordHasher`].
+pub type WordMap<V> = std::collections::HashMap<u64, V, std::hash::BuildHasherDefault<WordHasher>>;
 
 #[cfg(test)]
 mod tests {

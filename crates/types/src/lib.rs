@@ -58,7 +58,7 @@ pub mod stats;
 pub mod sync;
 pub mod testutil;
 
-pub use addr::{Addr, Geometry, LineAddr, WordMask};
+pub use addr::{Addr, Geometry, LineAddr, WordHasher, WordMap, WordMask};
 pub use cachekey::{CacheKey, KeyHasher, ENGINE_VERSION};
 pub use config::{ConfigError, IcacheConfig, L1Config, L2Config, MachineConfig, WriteBufferConfig};
 pub use diagnostics::{registry_entry, CodeEntry, Diagnostic, Severity, REGISTRY};

@@ -12,7 +12,44 @@ fn geometry_strategy() -> impl Strategy<Value = Geometry> {
     })
 }
 
+/// The 64-step definitions `WordMask::iter` and `WordMask::count` replaced:
+/// test every bit position in turn.
+fn stepped_iter(bits: u64) -> Vec<usize> {
+    (0..64).filter(|i| (bits >> i) & 1 == 1).collect()
+}
+
+fn mask_of(bits: u64) -> WordMask {
+    let mut m = WordMask::empty();
+    for i in stepped_iter(bits) {
+        m.set(i);
+    }
+    m
+}
+
+#[test]
+fn word_mask_set_bit_walk_matches_stepped_walk_on_full_masks() {
+    for n in 0..=64 {
+        let m = WordMask::full(n);
+        let want = stepped_iter(m.bits());
+        assert_eq!(want, (0..n).collect::<Vec<_>>());
+        assert_eq!(m.iter().collect::<Vec<_>>(), want, "full({n})");
+        assert_eq!(m.count() as usize, want.len(), "full({n})");
+    }
+}
+
 proptest! {
+    #[test]
+    fn word_mask_set_bit_walk_matches_stepped_walk(bits in any::<u64>(), shift in 0u32..64) {
+        // `shift` thins the mask so sparse and dense patterns both occur.
+        for raw in [bits, bits >> shift, bits & (bits >> shift)] {
+            let m = mask_of(raw);
+            prop_assert_eq!(m.bits(), raw);
+            let want = stepped_iter(raw);
+            prop_assert_eq!(m.iter().collect::<Vec<_>>(), want.clone());
+            prop_assert_eq!(m.count() as usize, want.len());
+        }
+    }
+
     #[test]
     fn line_word_decomposition_roundtrips(g in geometry_strategy(), raw in any::<u64>()) {
         // Align to the word size (addresses in the simulator are
