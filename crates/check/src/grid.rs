@@ -9,7 +9,8 @@
 //! summer, odometer enumeration, greedy 1-minimization and the BFS
 //! driver — instead of each keeping a copy per machine.
 
-use std::collections::{HashSet, VecDeque};
+use std::borrow::Borrow;
+use std::collections::VecDeque;
 use std::hash::Hash;
 use std::ops::RangeInclusive;
 use std::time::Instant;
@@ -21,6 +22,8 @@ use wbsim_types::op::Op;
 use wbsim_types::policy::{LoadHazardPolicy, RetirementPolicy};
 use wbsim_types::sync::atomic::AtomicUsize;
 use wbsim_types::sync::{Mutex, Ordering};
+
+use crate::abstract_state::KeySet;
 
 /// The MSHR counts the non-blocking grid sweeps. Two lines can miss
 /// concurrently at most on the bounded universe, so larger counts add
@@ -324,9 +327,11 @@ pub(crate) fn minimize<T>(
 /// over canonical keys, the frontier of unexpanded nodes, and one parent
 /// pointer per discovered state for path reconstruction. A node's payload
 /// (its concrete machine) leaves the frontier when expanded, so peak
-/// memory tracks the frontier, not the state count.
+/// memory tracks the frontier, not the state count. Keys hash with
+/// [`wbsim_types::WordHasher`]: they are packed byte strings (see
+/// [`crate::abstract_state`]), not adversarial input.
 pub(crate) struct Bfs<K, N> {
-    visited: HashSet<K>,
+    visited: KeySet<K>,
     frontier: VecDeque<N>,
     /// Index of the frontier's front node; discovery order is BFS order.
     next: usize,
@@ -336,8 +341,10 @@ pub(crate) struct Bfs<K, N> {
 impl<K: Hash + Eq, N> Bfs<K, N> {
     /// A search rooted at `root`, whose canonical key is `key`.
     pub(crate) fn new(key: K, root: N) -> Self {
+        let mut visited = KeySet::default();
+        visited.insert(key);
         Bfs {
-            visited: HashSet::from([key]),
+            visited,
             frontier: VecDeque::from([root]),
             next: 0,
             parents: vec![None],
@@ -351,8 +358,12 @@ impl<K: Hash + Eq, N> Bfs<K, N> {
         Some((self.next - 1, node))
     }
 
-    /// Whether a state with this key was already discovered.
-    pub(crate) fn seen(&self, key: &K) -> bool {
+    /// Whether a state with this key was already discovered. Takes any
+    /// borrowed form, so a probe needs no owned key.
+    pub(crate) fn seen<Q: Hash + Eq + ?Sized>(&self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+    {
         self.visited.contains(key)
     }
 

@@ -86,9 +86,7 @@ pub mod reach;
 pub mod refine;
 pub mod sched;
 
-pub use abstract_state::{
-    canonical_state, AbsEntry, AbsLine, AbsMshr, AbsState, ShadowTracker, WordAbs,
-};
+pub use abstract_state::ShadowTracker;
 pub use bounded::{check_exhaustive, check_sequence, op_universe, Counterexample};
 pub use grid::{default_jobs, run_indexed_earliest, CheckGrid, CheckReport, GRID_MSHRS};
 pub use lint::{

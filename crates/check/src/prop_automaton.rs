@@ -521,8 +521,8 @@ impl Monitors {
 
     /// Canonical state summary. `xor_mask` renames parameter bindings
     /// under the abstract line swap (`Some(line_bytes)`), matching the
-    /// renaming `canonical_state` applies to the machine half of a
-    /// product-BFS key.
+    /// renaming the packed canonical key ([`crate::abstract_state`])
+    /// applies to the machine half of a product-BFS key.
     #[must_use]
     pub fn key(&self, xor_mask: Option<u64>) -> MonKey {
         let items = self

@@ -21,9 +21,8 @@
 //! monitor's window set must be renamed by the *same* swap, or two
 //! incompatible permutations could be glued into one key. The key is
 //! therefore `min` over the two paired permutations (identity, swapped) —
-//! see `abstract_state::abstract_both` and [`Monitors::key`].
-
-use std::collections::HashMap;
+//! the packed encodings of [`crate::abstract_state`], each paired with
+//! [`Monitors::key`] under the same renaming.
 
 use wbsim_sim::{
     Event, Machine, MachineKind, MachineSnapshot, NonBlockingMachine, Observer, SimMachine,
@@ -32,7 +31,7 @@ use wbsim_types::addr::{Geometry, LineAddr};
 use wbsim_types::config::MachineConfig;
 use wbsim_types::op::Op;
 
-use crate::abstract_state::{abstract_both, AbsState, ShadowTracker};
+use crate::abstract_state::{KeyBuf, KeyMap, ShadowTracker};
 use crate::bounded::op_universe;
 use crate::grid::{Bfs, CheckGrid, CheckReport};
 use crate::prop::{
@@ -81,20 +80,27 @@ impl PropReport {
     }
 }
 
-/// The joint visited key: canonical abstract state paired with the
+/// The joint visited key: the packed abstract state paired with the
 /// monitor key under the *same* line permutation.
-type JointKey = (AbsState, MonKey);
+type JointKey = (Vec<u8>, MonKey);
 
 fn joint_key(
+    keys: &mut KeyBuf,
     g: &Geometry,
     snap: &MachineSnapshot,
     shadow: &ShadowTracker,
     mons: &Monitors,
 ) -> JointKey {
-    let (a, b) = abstract_both(g, snap, shadow);
+    keys.clear();
+    keys.push(g, snap, shadow);
+    let (a, b) = keys.both();
     let ka = mons.key(None);
     let kb = mons.key(Some(u64::from(g.line_bytes())));
-    std::cmp::min((a, ka), (b, kb))
+    if (a, &ka) <= (b, &kb) {
+        (a.to_vec(), ka)
+    } else {
+        (b.to_vec(), kb)
+    }
 }
 
 /// Steps the monitors on every event and maintains the shadow map (the
@@ -134,13 +140,14 @@ fn drain_walk<M: SimMachine>(
     g: &Geometry,
     lines: &[LineAddr; 2],
     shadow: &ShadowTracker,
-    memo: &mut HashMap<JointKey, Option<PropViolation>>,
+    keys: &mut KeyBuf,
+    memo: &mut KeyMap<JointKey, Option<PropViolation>>,
 ) -> Option<PropViolation> {
     let mut m = m.clone();
     let mut mons = mons.clone();
     let mut path: Vec<JointKey> = Vec::new();
     let verdict = loop {
-        let key = joint_key(g, &m.snapshot(lines.as_slice()), shadow, &mons);
+        let key = joint_key(keys, g, &m.snapshot(lines.as_slice()), shadow, &mons);
         if let Some(v) = memo.get(&key) {
             break v.clone();
         }
@@ -207,11 +214,20 @@ fn explore_props<M: SimMachine>(
     let universe = op_universe(cfg);
     let m0 = M::build(cfg.clone(), mshrs).expect("grid configs are valid");
     let shadow0 = ShadowTracker::default();
-    let mut drain_memo: HashMap<JointKey, Option<PropViolation>> = HashMap::new();
-    if let Some(pv) = drain_walk(&m0, &mons0, &g, &lines, &shadow0, &mut drain_memo) {
+    let mut keys = KeyBuf::default();
+    let mut drain_memo: KeyMap<JointKey, Option<PropViolation>> = KeyMap::default();
+    if let Some(pv) = drain_walk(
+        &m0,
+        &mons0,
+        &g,
+        &lines,
+        &shadow0,
+        &mut keys,
+        &mut drain_memo,
+    ) {
         return Err(violation(&[], &pv));
     }
-    let s0 = joint_key(&g, &m0.snapshot(&lines), &shadow0, &mons0);
+    let s0 = joint_key(&mut keys, &g, &m0.snapshot(&lines), &shadow0, &mons0);
     // A node: its concrete representative, shadow map, and monitor state.
     let mut bfs = Bfs::new(s0, (m0, shadow0, mons0));
     let mut edges: u64 = 0;
@@ -250,11 +266,12 @@ fn explore_props<M: SimMachine>(
                 continue;
             }
             edges += 1;
-            let key = joint_key(&g, &m.snapshot(&lines), &shadow, &mons);
+            let key = joint_key(&mut keys, &g, &m.snapshot(&lines), &shadow, &mons);
             if bfs.seen(&key) {
                 continue;
             }
-            if let Some(pv) = drain_walk(&m, &mons, &g, &lines, &shadow, &mut drain_memo) {
+            if let Some(pv) = drain_walk(&m, &mons, &g, &lines, &shadow, &mut keys, &mut drain_memo)
+            {
                 return Err(violation(&bfs.path(idx, op), &pv));
             }
             bfs.push(key, idx, op, (m, shadow, mons));

@@ -31,8 +31,6 @@
 //! class — the time-shift quotient is only sound when no policy consults
 //! absolute time).
 
-use std::collections::HashMap;
-
 use wbsim_sim::{
     Event, Machine, MachineKind, MachineSnapshot, NonBlockingMachine, NullObserver, Observer,
     SimMachine,
@@ -44,7 +42,7 @@ use wbsim_types::divergence::FaultInjection;
 use wbsim_types::op::Op;
 use wbsim_types::policy::{L1WritePolicy, RetirementOrder, RetirementPolicy};
 
-use crate::abstract_state::{canonical_state, AbsState, ShadowTracker};
+use crate::abstract_state::{KeyBuf, KeyMap, ShadowTracker};
 use crate::bounded::{
     check_sequence, counterexample, fifo_violation, op_universe, sequence_trace, Counterexample,
     StallRule, TraceObserver,
@@ -323,41 +321,49 @@ pub(crate) fn probe_window<M: SimMachine>(m: &mut M, obs: &mut impl Observer) {
     }
 }
 
-/// Walks the drain graph from `m` until it terminates (buffer empty),
-/// revisits a memoized state, or closes a cycle. Returns `true` for
-/// livelock. Every state on the walk is memoized with the verdict: a state
-/// that reaches a livelock is itself livelocked, and the drain graph is
-/// functional so the verdict is path-independent. On the non-blocking
-/// machine the drain also completes outstanding misses (a queued MSHR
-/// blocks retirement through read-bypassing, so a drain that never issued
-/// it would wedge spuriously).
+/// Walks the drain graph from `m`, whose canonical key is `key`, until it
+/// terminates (buffer empty), revisits a memoized state, or closes a
+/// cycle. Returns `true` for livelock. Every state on the walk is memoized
+/// with the verdict: a state that reaches a livelock is itself livelocked,
+/// and the drain graph is functional so the verdict is path-independent.
+/// A memoized `key` is answered without cloning the machine. On the
+/// non-blocking machine the drain also completes outstanding misses (a
+/// queued MSHR blocks retirement through read-bypassing, so a drain that
+/// never issued it would wedge spuriously).
 fn drain_livelocked<M: SimMachine>(
     m: &M,
+    key: &[u8],
     g: &Geometry,
     lines: &[LineAddr; 2],
     shadow: &ShadowTracker,
-    memo: &mut HashMap<AbsState, bool>,
+    keys: &mut KeyBuf,
+    memo: &mut KeyMap<Vec<u8>, bool>,
 ) -> bool {
+    if let Some(&v) = memo.get(key) {
+        return v;
+    }
     let mut m = m.clone();
-    let mut path: Vec<AbsState> = Vec::new();
+    let mut path: Vec<Vec<u8>> = vec![key.to_vec()];
     let verdict = loop {
-        let s = canonical_state(g, &m.snapshot(lines.as_slice()), shadow);
-        if let Some(&v) = memo.get(&s) {
-            break v;
-        }
-        if path.contains(&s) {
-            // A cycle under the fair drain schedule. No progress is
-            // possible along it: occupancy is non-increasing during a
-            // drain, so a cycle retires nothing — livelock.
-            break true;
-        }
-        path.push(s);
         if !m.drain_step(&mut NullObserver) {
             break false;
         }
         if path.len() > DRAIN_WALK_BOUND {
             break true;
         }
+        keys.clear();
+        keys.push(g, &m.snapshot(lines.as_slice()), shadow);
+        let s = keys.canonical();
+        if let Some(&v) = memo.get(s) {
+            break v;
+        }
+        if path.iter().any(|p| p.as_slice() == s) {
+            // A cycle under the fair drain schedule. No progress is
+            // possible along it: occupancy is non-increasing during a
+            // drain, so a cycle retires nothing — livelock.
+            break true;
+        }
+        path.push(s.to_vec());
     };
     for s in path {
         memo.insert(s, verdict);
@@ -540,8 +546,20 @@ fn explore_reach<M: SimMachine>(
 
     let m0 = M::build(cfg.clone(), mshrs).expect("grid configs are valid");
     let shadow0 = ShadowTracker::default();
-    let mut drain_memo: HashMap<AbsState, bool> = HashMap::new();
-    if drain_livelocked(&m0, &g, &lines, &shadow0, &mut drain_memo) {
+    // One buffer keys expanded states, the other the drain walks.
+    let (mut keys, mut drain_keys) = (KeyBuf::default(), KeyBuf::default());
+    let mut drain_memo: KeyMap<Vec<u8>, bool> = KeyMap::default();
+    keys.push(&g, &m0.snapshot(&lines), &shadow0);
+    let s0 = keys.canonical();
+    if drain_livelocked(
+        &m0,
+        s0,
+        &g,
+        &lines,
+        &shadow0,
+        &mut drain_keys,
+        &mut drain_memo,
+    ) {
         return Err(liveness_violation::<M>(
             &cfg,
             mshrs,
@@ -549,9 +567,8 @@ fn explore_reach<M: SimMachine>(
             "the initial state cycles under the fair drain schedule",
         ));
     }
-    let s0 = canonical_state(&g, &m0.snapshot(&lines), &shadow0);
     // A node: its concrete representative, shadow map, and FIFO cursor.
-    let mut bfs = Bfs::new(s0, (m0, shadow0, None));
+    let mut bfs = Bfs::new(s0.to_vec(), (m0, shadow0, None));
     let mut edges: u64 = 0;
 
     while let Some((idx, (machine, node_shadow, node_retire_id))) = bfs.pop() {
@@ -608,11 +625,21 @@ fn explore_reach<M: SimMachine>(
             if let Err(msg) = boundary_checks(&g, &m, &shadow, &universe) {
                 return Err(safety_violation::<M>(&cfg, mshrs, bfs.path(idx, op), msg));
             }
-            let state = canonical_state(&g, &m.snapshot(&lines), &shadow);
-            if bfs.seen(&state) {
+            keys.clear();
+            keys.push(&g, &m.snapshot(&lines), &shadow);
+            let state = keys.canonical();
+            if bfs.seen(state) {
                 continue;
             }
-            if drain_livelocked(&m, &g, &lines, &shadow, &mut drain_memo) {
+            if drain_livelocked(
+                &m,
+                state,
+                &g,
+                &lines,
+                &shadow,
+                &mut drain_keys,
+                &mut drain_memo,
+            ) {
                 return Err(liveness_violation::<M>(
                     &cfg,
                     mshrs,
@@ -621,7 +648,7 @@ fn explore_reach<M: SimMachine>(
                      retiring anything",
                 ));
             }
-            bfs.push(state, idx, op, (m, shadow, last_retire_id));
+            bfs.push(state.to_vec(), idx, op, (m, shadow, last_retire_id));
         }
     }
     Ok(Some(ReachConfigStats {

@@ -304,12 +304,12 @@ impl Default for Geometry {
     }
 }
 
-/// A hasher for maps keyed by global word address: one rotate, xor and
-/// multiply per `u64` (the FxHash step), instead of SipHash's several
-/// rounds. Word addresses are simulator-chosen, not adversarial, so
-/// collision resistance buys nothing here. The hash is fixed (no random
-/// seed); maps built on it must still never be iterated where the order
-/// could reach an output.
+/// A hasher for maps keyed by global word address (and for the model
+/// checkers' packed state keys): one rotate, xor and multiply per `u64`
+/// (the FxHash step), instead of SipHash's several rounds. Both kinds of
+/// key are simulator-chosen, not adversarial, so collision resistance
+/// buys nothing here. The hash is fixed (no random seed); maps built on
+/// it must still never be iterated where the order could reach an output.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WordHasher(u64);
 
@@ -323,10 +323,23 @@ impl WordHasher {
 }
 
 impl std::hash::Hasher for WordHasher {
+    /// Mixes 8 bytes per step (little-endian, the tail zero-padded): byte
+    /// strings such as the model checkers' packed state keys hash at word
+    /// speed. Slice hashing writes the length first, so padding cannot
+    /// make two lengths collide systematically.
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(u64::from(b));
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let mut buf = [0u8; 8];
+            buf.copy_from_slice(w);
+            self.add(u64::from_le_bytes(buf));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut buf = [0u8; 8];
+            buf[..tail.len()].copy_from_slice(tail);
+            self.add(u64::from_le_bytes(buf));
         }
     }
 
@@ -347,6 +360,34 @@ pub type WordMap<V> = std::collections::HashMap<u64, V, std::hash::BuildHasherDe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::Hasher;
+
+    #[test]
+    fn word_hasher_mixes_bytes_a_word_at_a_time() {
+        let hash_bytes = |bytes: &[u8]| {
+            let mut h = WordHasher::default();
+            h.write(bytes);
+            h.finish()
+        };
+        let hash_words = |words: &[u64]| {
+            let mut h = WordHasher::default();
+            for &w in words {
+                h.write_u64(w);
+            }
+            h.finish()
+        };
+        let bytes: Vec<u8> = (1..=11).collect();
+        // Two steps: one full little-endian word, then the zero-padded tail.
+        assert_eq!(
+            hash_bytes(&bytes),
+            hash_words(&[0x0807_0605_0403_0201, 0x0b_0a09])
+        );
+        assert_eq!(
+            hash_bytes(&bytes[..8]),
+            hash_words(&[0x0807_0605_0403_0201])
+        );
+        assert_ne!(hash_bytes(&bytes[..9]), hash_bytes(&bytes[..10]));
+    }
 
     #[test]
     fn geometry_rejects_bad_shapes() {
